@@ -9,7 +9,7 @@ namespace dmf {
 
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
                                            NodeId s, NodeId t) {
-  DMF_REQUIRE(kind != SolverKind::kSherman,
+  DMF_REQUIRE(kind != SolverKind::kSherman && kind != SolverKind::kCongestSim,
               "exact_max_flow_adapter: not an exact baseline");
   MaxFlowResult exact;
   switch (kind) {
@@ -20,6 +20,7 @@ MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
       exact = push_relabel_max_flow(g, s, t);
       break;
     case SolverKind::kSherman:
+    case SolverKind::kCongestSim:
       break;  // unreachable, rejected above
   }
   MaxFlowApproxResult out;

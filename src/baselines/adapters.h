@@ -17,7 +17,8 @@
 namespace dmf {
 
 // Solve s-t max flow exactly with the requested baseline
-// (SolverKind::kSherman is rejected — the engine routes that itself).
+// (SolverKind::kSherman and kCongestSim are rejected — the engine routes
+// those itself).
 // The engine passes the snapshot's CSR view; the Graph overload packs a
 // transient one.
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "graph/flow.h"
+#include "maxflow/softmax.h"
 
 namespace dmf {
 
@@ -57,13 +58,19 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   std::vector<double> pi;
   std::vector<double> tree_workspace;
   std::vector<double> edge_congestion(m);  // f_e / cap_e, once per iteration
+  // Flat [t*n + v] index of each tree's root: the root has no parent
+  // link, so the tree soft-max leaves it out.
+  std::vector<std::size_t> root_index(num_trees);
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    const RootedTree& tree = approximator.tree(static_cast<int>(t));
+    root_index[t] = t * n + static_cast<std::size_t>(tree.root);
+  }
+  // The soft-max terms of C^-1 f and 2 alpha R r, kept for the gradient.
+  SoftmaxTerms edge_terms;
+  SoftmaxTerms link_terms;
   int momentum_age = 0;
   double last_delta = std::numeric_limits<double>::infinity();
 
-  // Symmetric soft-max smax(x) = log sum_i (e^{x_i} + e^{-x_i}),
-  // max-shifted for stability. Evaluated in two streaming passes (max,
-  // then ordered exp sum) — same accumulation order as summing a stored
-  // term list, with no term storage.
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
     result.rounds += rounds_per_iter;
@@ -72,44 +79,14 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     flow_divergence_into(g, result.flow, div);
     for (std::size_t v = 0; v < n; ++v) residual[v] = b[v] - div[v];
 
-    // phi_1 = smax(C^-1 f), phi_2 = smax(2 alpha R r). The per-edge
-    // congestion f_e / cap_e feeds three loops (max, exp sum, gradient);
-    // divide once.
-    double max1 = 0.0;
+    // phi_1 = smax(C^-1 f), phi_2 = smax(2 alpha R r).
     for (std::size_t e = 0; e < m; ++e) {
       edge_congestion[e] = result.flow[e] / cap[e];
-      max1 = std::max(max1, std::abs(edge_congestion[e]));
     }
-    double sum1 = 0.0;
-    for (std::size_t e = 0; e < m; ++e) {
-      const double x = edge_congestion[e];
-      sum1 += std::exp(x - max1) + std::exp(-x - max1);
-    }
-    const double phi1 = max1 + std::log(sum1);
-
+    symmetric_softmax(edge_congestion, {}, edge_terms);
     approximator.apply_into(residual, 2.0 * alpha, y_flat, tree_workspace);
-    double max2 = 0.0;
-    for (std::size_t t = 0; t < num_trees; ++t) {
-      const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* y = y_flat.data() + t * n;
-      const auto root = static_cast<std::size_t>(tree.root);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v != root) max2 = std::max(max2, std::abs(y[v]));
-      }
-    }
-    double sum2 = 0.0;
-    for (std::size_t t = 0; t < num_trees; ++t) {
-      const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* y = y_flat.data() + t * n;
-      const auto root = static_cast<std::size_t>(tree.root);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v != root) {
-          sum2 += std::exp(y[v] - max2) + std::exp(-y[v] - max2);
-        }
-      }
-    }
-    const double phi2 = max2 + std::log(sum2);
-    result.potential = phi1 + phi2;
+    symmetric_softmax(y_flat, root_index, link_terms);
+    result.potential = edge_terms.value() + link_terms.value();
 
     // --- Lines 4-5: rescale until phi >= 16 eps^-1 log n. ---
     if (result.potential < target_potential) {
@@ -123,10 +100,11 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     }
 
     // --- Gradient. ---
+    // e^{+-x_i - phi} = {pos_i, neg_i} / sum, from the cached terms.
     // phi_1 part: (e^{y_e - phi1} - e^{-y_e - phi1}) / cap(e).
     for (std::size_t e = 0; e < m; ++e) {
-      const double ye = edge_congestion[e];
-      gradient[e] = (std::exp(ye - phi1) - std::exp(-ye - phi1)) / cap[e];
+      gradient[e] =
+          (edge_terms.pos[e] - edge_terms.neg[e]) / edge_terms.sum / cap[e];
     }
     // phi_2 part via potentials: price of link (v -> parent) in tree t is
     // 2 alpha (e^{y-phi2} - e^{-y-phi2}) / cap_T(link); then
@@ -134,7 +112,8 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     price_flat.resize(num_trees * n);
     for (std::size_t t = 0; t < num_trees; ++t) {
       const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* y = y_flat.data() + t * n;
+      const double* pos = link_terms.pos.data() + t * n;
+      const double* neg = link_terms.neg.data() + t * n;
       double* price = price_flat.data() + t * n;
       const auto root = static_cast<std::size_t>(tree.root);
       for (std::size_t v = 0; v < n; ++v) {
@@ -142,9 +121,7 @@ AlmostRouteResult almost_route(const CsrGraph& g,
           price[v] = 0.0;
           continue;
         }
-        const double yv = y[v];
-        price[v] = 2.0 * alpha *
-                   (std::exp(yv - phi2) - std::exp(-yv - phi2)) /
+        price[v] = 2.0 * alpha * (pos[v] - neg[v]) / link_terms.sum /
                    tree.parent_cap[v];
       }
     }

@@ -12,8 +12,16 @@
 // unrouted demand strongly enough that fixing conservation always pays.
 //
 // Implementation notes:
-//  * all soft-max evaluations use max-shifted log-sum-exp, so potentials
-//    in the hundreds (the 16 eps^-1 log n operating point) are stable;
+//  * both soft-max terms go through one helper (maxflow/softmax.h):
+//    max-shifted log-sum-exp, so potentials in the hundreds (the
+//    16 eps^-1 log n operating point) are stable;
+//  * one exp per soft-max term: with M = max |x_i| <= 700 the helper
+//    takes c = e^{-M} once and forms e^{x-M} = c e^x, e^{-x-M} = c / e^x.
+//    Above 700, c would approach the subnormal range and lose precision,
+//    so that soft-max falls back to two exp calls per term;
+//  * the helper keeps the terms e^{+-x-M}, and the gradient and link
+//    prices reuse them as e^{+-x-phi} = e^{+-x-M} / sum instead of calling
+//    exp again. This costs 2 (m + T n) doubles of workspace per call;
 //  * dphi2/df_e = pi_v - pi_u (Eq. 4): one R application (subtree sums)
 //    and one R^T application (root-path prefix sums) per iteration;
 //  * the 17/16 rescaling loop keeps phi in [16 eps^-1 log n, ~17/16 of

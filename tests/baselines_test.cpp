@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "baselines/adapters.h"
 #include "baselines/dinic.h"
 #include "baselines/push_relabel.h"
 #include "baselines/tree_routing.h"
@@ -193,6 +194,21 @@ TEST(TreeRouting, NonTreeEdgesCarryNoFlow) {
       EXPECT_DOUBLE_EQ(flow[static_cast<std::size_t>(e)], 0.0);
     }
   }
+}
+
+TEST(ExactAdapter, MatchesDinicAndRejectsNonExactKinds) {
+  Rng rng(67);
+  const Graph g = make_gnp_connected(20, 0.2, {1, 9}, rng);
+  const MaxFlowApproxResult exact =
+      exact_max_flow_adapter(SolverKind::kDinic, g, 0, 19);
+  EXPECT_DOUBLE_EQ(exact.value, dinic_max_flow_value(g, 0, 19));
+  EXPECT_TRUE(exact.converged);
+  // Neither the approximate solver nor the CONGEST simulation is an exact
+  // baseline; asking for one must throw, not return value 0.
+  EXPECT_THROW(exact_max_flow_adapter(SolverKind::kSherman, g, 0, 19),
+               RequirementError);
+  EXPECT_THROW(exact_max_flow_adapter(SolverKind::kCongestSim, g, 0, 19),
+               RequirementError);
 }
 
 // Property sweep: Dinic value equals push-relabel value across families.

@@ -3,7 +3,9 @@
 // exact Dinic baseline (Theorem 1.1).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "baselines/dinic.h"
@@ -13,6 +15,7 @@
 #include "graph/generators.h"
 #include "maxflow/almost_route.h"
 #include "maxflow/sherman.h"
+#include "maxflow/softmax.h"
 #include "util/rng.h"
 
 namespace dmf {
@@ -72,6 +75,102 @@ TEST(AlmostRoute, CongestionNearOptimal) {
   EXPECT_TRUE(result.converged);
   // Flow should be close to 1.0 on the single edge.
   EXPECT_NEAR(result.flow[0], 1.0, 0.4);
+}
+
+// Deep in the guard regime: 16 ln(n) / eps >= 1500, so phi = phi_1 +
+// phi_2 >= 1500 forces max_1 + max_2 > 1400 and at least one soft-max
+// takes the two-exp path (M > 700) on every iteration.
+TEST(AlmostRoute, ConvergesWithSoftmaxPastSharedScaleLimit) {
+  Rng rng(619);
+  const NodeId n = 30;
+  const Graph g = make_gnp_connected(n, 0.15, {2, 8}, rng);
+  const CongestionApproximator approx = racke_approximator(g, 4, rng);
+  const std::vector<double> b = st_demand(n, 0, n - 1, 1.0);
+  AlmostRouteOptions options;
+  options.epsilon = 0.03;
+  options.alpha = 3.0;
+  ASSERT_GE(16.0 * std::log(static_cast<double>(n)) / options.epsilon, 1500.0);
+  const AlmostRouteResult result = almost_route(g, approx, b, options);
+  EXPECT_TRUE(result.converged);
+  EXPECT_GE(result.potential, 1500.0);
+  for (const double f : result.flow) EXPECT_TRUE(std::isfinite(f));
+  const std::vector<double> div = flow_divergence(g, result.flow);
+  double residual = 0.0;
+  for (NodeId v = 0; v < n; ++v) {
+    residual += std::abs(b[static_cast<std::size_t>(v)] -
+                         div[static_cast<std::size_t>(v)]);
+  }
+  EXPECT_LT(residual, 1.0);  // |b|_1 = 2
+}
+
+// Entries k/64 on [-max_abs, max_abs], so x - M and -x - M are exact and
+// the direct formula std::exp(+-x - M) is a correctly rounded reference.
+// Every 7th entry is excluded and carries the largest |x|, so including
+// it by mistake would change M.
+void expect_softmax_matches_direct(double max_abs) {
+  Rng rng(static_cast<std::uint64_t>(max_abs));
+  const auto span = static_cast<std::uint64_t>(max_abs * 64.0);
+  std::vector<double> x(700);
+  std::vector<std::size_t> excluded;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (i % 7 == 3) {
+      x[i] = 2.0 * max_abs;
+      excluded.push_back(i);
+      continue;
+    }
+    const auto k = static_cast<double>(rng.next_below(2 * span + 1));
+    x[i] = (k - static_cast<double>(span)) / 64.0;
+  }
+  x[0] = max_abs;  // pin M, and both signs of the extreme
+  x[1] = -max_abs;
+  x[2] = 0.0;
+
+  SoftmaxTerms terms;
+  symmetric_softmax(x, excluded, terms);
+  ASSERT_EQ(terms.pos.size(), x.size());
+  ASSERT_EQ(terms.neg.size(), x.size());
+  EXPECT_EQ(terms.max_abs, max_abs);
+
+  // 4 ulp relative for normal results, DBL_MIN absolute for subnormal.
+  const auto expect_close = [](double got, double want) {
+    const double tolerance =
+        want >= DBL_MIN ? 4.0 * DBL_EPSILON * want : DBL_MIN;
+    EXPECT_LE(std::abs(got - want), tolerance)
+        << "got " << got << " want " << want;
+  };
+  double sum = 0.0;
+  std::size_t next_excluded = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (next_excluded < excluded.size() && excluded[next_excluded] == i) {
+      ++next_excluded;
+      EXPECT_EQ(terms.pos[i], 0.0);
+      EXPECT_EQ(terms.neg[i], 0.0);
+      continue;
+    }
+    const double pos = std::exp(x[i] - max_abs);
+    const double neg = std::exp(-x[i] - max_abs);
+    expect_close(terms.pos[i], pos);
+    expect_close(terms.neg[i], neg);
+    sum += pos + neg;
+  }
+  EXPECT_NEAR(terms.sum, sum, 1e-13 * sum);
+  EXPECT_NEAR(terms.value(), max_abs + std::log(sum), 1e-12 * max_abs);
+}
+
+TEST(SymmetricSoftmax, SharedScaleMatchesDirectFormula) {
+  expect_softmax_matches_direct(kSoftmaxSharedScaleLimit);
+  expect_softmax_matches_direct(37.5);
+}
+
+TEST(SymmetricSoftmax, PastSharedScaleLimitMatchesDirectFormula) {
+  expect_softmax_matches_direct(1500.0);
+}
+
+TEST(SymmetricSoftmax, RejectsUnorderedExclusions) {
+  SoftmaxTerms terms;
+  const std::vector<double> x(4, 1.0);
+  EXPECT_THROW(symmetric_softmax(x, {2, 1}, terms), RequirementError);
+  EXPECT_THROW(symmetric_softmax(x, {4}, terms), RequirementError);
 }
 
 TEST(ShermanRoute, RoutesDemandExactly) {

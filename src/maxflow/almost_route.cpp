@@ -140,33 +140,26 @@ AlmostRouteResult almost_route(const CsrGraph& g,
       delta += cap[e] * std::abs(gradient[e]);
     }
     result.final_delta = delta;
-    if (delta >= eps / 4.0) {
-      const double step = delta / (1.0 + 4.0 * alpha * alpha);
-      if (options.accelerate) {
-        // Adaptive restart: the sign-based step makes raw heavy-ball
-        // unstable, so momentum is dropped whenever the gradient norm
-        // grows (O'Donoghue-Candès-style restart) and beta is capped.
-        if (delta > last_delta) momentum_age = 0;
-        const double beta = std::min(
-            0.75, static_cast<double>(momentum_age) /
-                      (static_cast<double>(momentum_age) + 3.0));
-        ++momentum_age;
-        for (std::size_t e = 0; e < m; ++e) {
-          const double sign = gradient[e] > 0.0 ? 1.0 : -1.0;
-          const double next = result.flow[e] - sign * cap[e] * step +
-                              beta * (result.flow[e] - previous_flow[e]);
-          previous_flow[e] = result.flow[e];
-          result.flow[e] = next;
-        }
-      } else {
-        for (std::size_t e = 0; e < m; ++e) {
-          const double sign = gradient[e] > 0.0 ? 1.0 : -1.0;
-          result.flow[e] -= sign * cap[e] * step;
-        }
-      }
-    } else {
+    if (delta < eps / 4.0) {
       result.converged = true;
       break;
+    }
+    // Heavy-ball step with adaptive restart: the sign-based step makes
+    // raw heavy-ball unstable, so momentum is dropped whenever the
+    // gradient norm grows (O'Donoghue-Candès-style restart) and beta is
+    // capped at 0.75.
+    const double step = delta / (1.0 + 4.0 * alpha * alpha);
+    if (delta > last_delta) momentum_age = 0;
+    const double beta =
+        std::min(0.75, static_cast<double>(momentum_age) /
+                           (static_cast<double>(momentum_age) + 3.0));
+    ++momentum_age;
+    for (std::size_t e = 0; e < m; ++e) {
+      const double sign = gradient[e] > 0.0 ? 1.0 : -1.0;
+      const double next = result.flow[e] - sign * cap[e] * step +
+                          beta * (result.flow[e] - previous_flow[e]);
+      previous_flow[e] = result.flow[e];
+      result.flow[e] = next;
     }
     last_delta = delta;
   }

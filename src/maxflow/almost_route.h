@@ -26,8 +26,19 @@
 //    and one R^T application (root-path prefix sums) per iteration;
 //  * the 17/16 rescaling loop keeps phi in [16 eps^-1 log n, ~17/16 of
 //    it], exactly as in Algorithm 2;
-//  * termination when delta = sum_e |c_e dphi/df_e| < eps/4; Sherman
-//    proves O(alpha^2 eps^-3 log n) iterations.
+//  * the descent is heavy-ball momentum with adaptive restart, the
+//    practical stand-in for the accelerated method of the paper's
+//    footnote 3 (Nesterov: O(eps^-2 alpha log^2 n) iterations instead of
+//    plain descent's O(eps^-3 alpha^2 log^2 n)). Each step is Sherman's
+//    sign step plus beta (f - f_prev), beta = min(0.75, k / (k + 3)) for
+//    the k-th step since the last restart. Momentum restarts when delta
+//    grows and whenever the 17/16 rescaling fires. On the benchmark's
+//    gnp n = 256 queries it takes ~36% fewer iterations than plain
+//    descent;
+//  * termination is unchanged: delta = sum_e |c_e dphi/df_e| < eps/4 at a
+//    point with phi >= 16 eps^-1 log n, the certificate of Algorithm 2,
+//    so the output guarantee does not depend on how that point was
+//    reached.
 //
 // The returned flow approximately routes b: callers (Algorithm 1) clean
 // up the small residual via further calls and a spanning-tree rerouting.
@@ -48,11 +59,6 @@ struct AlmostRouteOptions {
   // caller's job and 2.0 is used.
   double alpha = 2.0;
   int max_iterations = 50000;
-  // Heavy-ball momentum, the practical stand-in for the accelerated
-  // method of the paper's footnote 3 (Nesterov: O(eps^-2 alpha log^2 n)
-  // instead of O(eps^-3 alpha^2 log^2 n)). Momentum is reset whenever
-  // the 17/16 rescaling fires. E7 measures the effect.
-  bool accelerate = false;
 };
 
 struct AlmostRouteResult {

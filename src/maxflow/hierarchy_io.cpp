@@ -77,7 +77,6 @@ std::uint64_t hierarchy_fingerprint(const ShermanOptions& options,
   h = fnv1a_mix(h, double_bits(options.almost_route.alpha));
   h = fnv1a_mix(
       h, static_cast<std::uint64_t>(options.almost_route.max_iterations));
-  h = fnv1a_mix(h, options.almost_route.accelerate ? 1u : 0u);
   h = fnv1a_mix(h, double_bits(options.hierarchy.beta));
   h = fnv1a_mix(
       h, static_cast<std::uint64_t>(options.hierarchy.trees_per_level));

@@ -97,7 +97,7 @@ void ServeApp::drain() {
 
 void ServeApp::deadline_main() {
   for (;;) {
-    std::function<bool()> cancel;
+    std::function<void()> cancel;
     {
       MutexLock lock(mu_);
       while (!stop_deadline_thread_) {
@@ -120,13 +120,11 @@ void ServeApp::deadline_main() {
       }
     }
     if (cancel == nullptr) return;  // stop requested
-    // cancel() may run the engine completion callback synchronously on
-    // this thread (for still-queued/parked queries); that callback
-    // re-takes mu_, so it must run outside the lock.
-    if (cancel()) {
-      MutexLock lock(mu_);
-      ++counters_.deadline_cancelled;
-    }
+    // A successful cancel() runs the engine completion callback
+    // synchronously on this thread (for still-queued/parked queries);
+    // that callback re-takes mu_, so it must run outside the lock. The
+    // callback counts the cancellation before it sends the 504.
+    cancel();
   }
 }
 
@@ -163,11 +161,11 @@ void ServeApp::arm_deadline(std::uint64_t request_id, double deadline_seconds,
   {
     MutexLock lock(mu_);
     // The callback may already have fired and erased nothing; a stale
-    // entry is harmless — cancel() on a resolved ticket returns false.
+    // entry is harmless — cancel() on a resolved ticket does nothing.
     deadlines_[request_id] = DeadlineEntry{
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(deadline_seconds)),
-        [shared] { return shared->cancel(); }};
+        [shared] { shared->cancel(); }};
   }
   cv_.notify_all();
 }
@@ -197,6 +195,11 @@ void ServeApp::finish_query(std::uint64_t request_id, Clock::time_point start,
   {
     MutexLock lock(mu_);
     deadlines_.erase(request_id);
+    // Only the deadline timer cancels a ServeApp ticket, and a ticket
+    // resolves kCancelled only through cancel(). Counting here, before
+    // complete() sends the response, means a client that has read its
+    // 504 also sees it counted.
+    if (res.code == ErrorCode::kCancelled) ++counters_.deadline_cancelled;
   }
   if (!res.ok()) {
     complete("query", start, /*admitted=*/true, responder,

@@ -103,7 +103,7 @@ class ServeApp {
 
   struct DeadlineEntry {
     Clock::time_point at;
-    std::function<bool()> cancel;
+    std::function<void()> cancel;
   };
 
   void handle(Request req, Responder responder);

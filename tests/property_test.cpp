@@ -150,12 +150,73 @@ TEST_P(ValueSandwich, Holds) {
 
 INSTANTIATE_TEST_SUITE_P(Families, ValueSandwich, ::testing::Range(0, 10));
 
+// --- Property: the paper's guarantee across families and seeds. ---
+// The (1-eps) bound itself, not the slack of ValueSandwich: every
+// max_flow converges, is feasible and has value >= (1-eps) * Dinic, and
+// every route converges and meets its demand exactly. Six families
+// (gnp, torus, grid, tree + chords, 4-regular, barbell) x 5 seeds.
+constexpr int kSweepFamilies = 6;
+constexpr int kSweepSeeds = 5;
+
+Graph sweep_graph(int family, Rng& rng) {
+  switch (family) {
+    case 0: return make_gnp_connected(48, 4.0 / 48, {1, 9}, rng);
+    case 1: return make_torus(7, 7, {1, 9}, rng);
+    case 2: return make_grid(6, 8, {1, 9}, rng);
+    case 3: return make_tree_plus_chords(48, 16, {1, 9}, rng);
+    case 4: return make_random_regular(48, 4, {1, 9}, rng);
+    default: return make_barbell(10, {1, 9}, 3.0, rng);
+  }
+}
+
+class GuaranteeSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(GuaranteeSweep, MaxFlowAndRouteMeetTheBound) {
+  const int family = GetParam() % kSweepFamilies;
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 17);
+  const Graph g = sweep_graph(family, rng);
+  const NodeId n = g.num_nodes();
+  ShermanOptions options;
+  const ShermanSolver solver(g, options, rng);
+
+  const NodeId s = 0;
+  const NodeId t = n - 1;
+  const double exact = dinic_max_flow_value(g, s, t);
+  const MaxFlowApproxResult flow = solver.max_flow(s, t);
+  EXPECT_TRUE(flow.converged);
+  EXPECT_TRUE(is_feasible(g, flow.flow, 1e-6));
+  EXPECT_LE(flow.value, exact * (1.0 + 1e-6));
+  EXPECT_GE(flow.value, (1.0 - options.epsilon) * exact - 1e-9);
+
+  std::vector<double> b(static_cast<std::size_t>(n), 0.0);
+  double sum = 0.0;
+  for (int i = 0; i < 6; ++i) {
+    const auto v = static_cast<NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(n)));
+    const double d = rng.next_double(-3.0, 3.0);
+    b[static_cast<std::size_t>(v)] += d;
+    sum += d;
+  }
+  b[static_cast<std::size_t>(n - 1)] -= sum;  // zero-sum
+  const RouteResult routed = solver.route(b);
+  EXPECT_TRUE(routed.converged);
+  const std::vector<double> div = flow_divergence(g, routed.flow);
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_NEAR(div[static_cast<std::size_t>(v)],
+                b[static_cast<std::size_t>(v)], 1e-6)
+        << "node " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FamiliesBySeed, GuaranteeSweep,
+                         ::testing::Range(0, kSweepFamilies * kSweepSeeds));
+
 // --- Failure injection: malformed inputs must throw, not corrupt. ---
 TEST(FailureInjection, ApproximatorSizeMismatches) {
   RootedTree tree = make_tree(0, {kInvalidNode, 0});
   tree.parent_cap = {0.0, 1.0};
   const CongestionApproximator approx({tree});
-  EXPECT_THROW(approx.congestion_norm({1.0}), RequirementError);
+  EXPECT_THROW((void)approx.congestion_norm({1.0}), RequirementError);
   EXPECT_THROW(approx.apply({1.0, -1.0, 0.0}, 1.0), RequirementError);
   EXPECT_THROW(approx.potentials({}), RequirementError);
 }

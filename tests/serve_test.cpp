@@ -185,7 +185,7 @@ TEST(Wire, JsonParseAccessorsAndErrors) {
                WireError);
   // Type mismatch on a checked accessor names the context.
   try {
-    Json::parse("[1]").as_object("root");
+    (void)Json::parse("[1]").as_object("root");
     FAIL() << "expected WireError";
   } catch (const WireError& e) {
     EXPECT_NE(std::string(e.what()).find("root"), std::string::npos);
@@ -320,7 +320,7 @@ TEST_F(ParserCorpusTest, RejectionCorpus) {
 TEST_F(ParserCorpusTest, TruncatedRequestsDoNotWedgeTheServer) {
   // Half a request line, half a header block, half a body: close each
   // mid-request. The server must survive and keep answering.
-  for (const std::string frag :
+  for (const std::string& frag :
        {std::string("GET /part"), std::string("GET / HTTP/1.1\r\nHos"),
         std::string("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nhal")}) {
     TestClient c;

@@ -17,8 +17,8 @@ int main() {
     std::string name;
     NodeId n;
   };
-  for (const Case c : {Case{"complete", 60}, Case{"complete", 90},
-                       Case{"dense_gnp", 120}}) {
+  for (const Case& c : {Case{"complete", 60}, Case{"complete", 90},
+                        Case{"dense_gnp", 120}}) {
     Rng rng(4000 + c.n);
     const Graph g = c.name == "complete"
                         ? make_complete(c.n, {1, 4}, rng)

@@ -12,21 +12,21 @@ CongestionApproximator::CongestionApproximator(std::vector<RootedTree> trees)
     : trees_(std::move(trees)) {
   DMF_REQUIRE(!trees_.empty(), "CongestionApproximator: need >= 1 tree");
   n_ = trees_.front().num_nodes();
+  const auto nn = static_cast<std::size_t>(n_);
   orders_.reserve(trees_.size());
-  inv_cap_.reserve(trees_.size());
-  for (const RootedTree& tree : trees_) {
+  inv_link_cap_.assign(trees_.size() * nn, 0.0);
+  for (std::size_t t = 0; t < trees_.size(); ++t) {
+    const RootedTree& tree = trees_[t];
     DMF_REQUIRE(tree.num_nodes() == n_,
                 "CongestionApproximator: tree size mismatch");
     orders_.push_back(tree_order(tree));
-    std::vector<double> inv(static_cast<std::size_t>(n_), 0.0);
     for (NodeId v = 0; v < n_; ++v) {
       if (v == tree.root) continue;
       const double cap = tree.parent_cap[static_cast<std::size_t>(v)];
       DMF_REQUIRE(cap > 0.0,
                   "CongestionApproximator: non-positive link capacity");
-      inv[static_cast<std::size_t>(v)] = 1.0 / cap;
+      inv_link_cap_[t * nn + static_cast<std::size_t>(v)] = 1.0 / cap;
     }
-    inv_cap_.push_back(std::move(inv));
   }
 }
 
@@ -50,13 +50,14 @@ double CongestionApproximator::congestion_norm(
     std::vector<double> sums = b;
     const auto& order = orders_[t].topdown;
     const RootedTree& tree = trees_[t];
+    const double* inv = inv_link_cap_.data() + t * static_cast<std::size_t>(n_);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const NodeId v = *it;
       const NodeId p = tree.parent[static_cast<std::size_t>(v)];
       if (p != kInvalidNode) {
         sums[static_cast<std::size_t>(p)] += sums[static_cast<std::size_t>(v)];
         worst = std::max(worst, std::abs(sums[static_cast<std::size_t>(v)]) *
-                                    inv_cap_[t][static_cast<std::size_t>(v)]);
+                                    inv[static_cast<std::size_t>(v)]);
       }
     }
   }
@@ -72,6 +73,7 @@ std::vector<std::vector<double>> CongestionApproximator::apply(
     std::vector<double> sums = b;
     const auto& order = orders_[t].topdown;
     const RootedTree& tree = trees_[t];
+    const double* inv = inv_link_cap_.data() + t * static_cast<std::size_t>(n_);
     y[t].assign(static_cast<std::size_t>(n_), 0.0);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const NodeId v = *it;
@@ -80,7 +82,7 @@ std::vector<std::vector<double>> CongestionApproximator::apply(
         sums[static_cast<std::size_t>(p)] += sums[static_cast<std::size_t>(v)];
         y[t][static_cast<std::size_t>(v)] =
             scale * sums[static_cast<std::size_t>(v)] *
-            inv_cap_[t][static_cast<std::size_t>(v)];
+            inv[static_cast<std::size_t>(v)];
       }
     }
   }
@@ -128,7 +130,7 @@ void CongestionApproximator::apply_into(
     sums_workspace = b;
     double* sums = sums_workspace.data();
     double* y = y_flat.data() + t * nn;
-    const double* inv = inv_cap_[t].data();
+    const double* inv = inv_link_cap_.data() + t * nn;
     const auto& order = orders_[t].topdown;
     const NodeId* parent = trees_[t].parent.data();
     y[static_cast<std::size_t>(trees_[t].root)] = 0.0;

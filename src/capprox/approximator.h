@@ -65,6 +65,12 @@ class CongestionApproximator {
                        std::vector<double>& pi,
                        std::vector<double>& acc_workspace) const;
 
+  // 1 / cap(v -> parent) in tree t at [t*n + v], 0 at roots: the same
+  // flat layout as apply_into's output.
+  [[nodiscard]] const std::vector<double>& inv_link_cap_flat() const {
+    return inv_link_cap_;
+  }
+
   // CONGEST rounds for one apply or potentials call: one Õ(sqrt n + D)
   // convergecast/downcast per tree (Corollary 9.3).
   [[nodiscard]] double rounds_per_application(int diameter) const;
@@ -73,7 +79,7 @@ class CongestionApproximator {
   NodeId n_ = 0;
   std::vector<RootedTree> trees_;
   std::vector<TreeOrder> orders_;
-  std::vector<std::vector<double>> inv_cap_;
+  std::vector<double> inv_link_cap_;  // [t*n + v]; see inv_link_cap_flat
 };
 
 // Empirical alpha of the approximator on s-t demands: for unit demand

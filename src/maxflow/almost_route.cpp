@@ -58,6 +58,7 @@ AlmostRouteResult almost_route(const CsrGraph& g,
   std::vector<double> pi;
   std::vector<double> tree_workspace;
   std::vector<double> edge_congestion(m);  // f_e / cap_e, once per iteration
+  const std::vector<double>& inv_link_cap = approximator.inv_link_cap_flat();
   // Flat [t*n + v] index of each tree's root: the root has no parent
   // link, so the tree soft-max leaves it out.
   std::vector<std::size_t> root_index(num_trees);
@@ -102,28 +103,20 @@ AlmostRouteResult almost_route(const CsrGraph& g,
     // --- Gradient. ---
     // e^{+-x_i - phi} = {pos_i, neg_i} / sum, from the cached terms.
     // phi_1 part: (e^{y_e - phi1} - e^{-y_e - phi1}) / cap(e).
+    const double inv_edge_sum = 1.0 / edge_terms.sum;
     for (std::size_t e = 0; e < m; ++e) {
       gradient[e] =
-          (edge_terms.pos[e] - edge_terms.neg[e]) / edge_terms.sum / cap[e];
+          (edge_terms.pos[e] - edge_terms.neg[e]) * inv_edge_sum / cap[e];
     }
     // phi_2 part via potentials: price of link (v -> parent) in tree t is
     // 2 alpha (e^{y-phi2} - e^{-y-phi2}) / cap_T(link); then
-    // dphi2/df_e = pi_v - pi_u for e = (u, v).
+    // dphi2/df_e = pi_v - pi_u for e = (u, v). Roots have no link: their
+    // inverse capacity is 0, and so is their price.
+    const double price_scale = 2.0 * alpha / link_terms.sum;
     price_flat.resize(num_trees * n);
-    for (std::size_t t = 0; t < num_trees; ++t) {
-      const RootedTree& tree = approximator.tree(static_cast<int>(t));
-      const double* pos = link_terms.pos.data() + t * n;
-      const double* neg = link_terms.neg.data() + t * n;
-      double* price = price_flat.data() + t * n;
-      const auto root = static_cast<std::size_t>(tree.root);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v == root) {
-          price[v] = 0.0;
-          continue;
-        }
-        price[v] = 2.0 * alpha * (pos[v] - neg[v]) / link_terms.sum /
-                   tree.parent_cap[v];
-      }
+    for (std::size_t i = 0; i < num_trees * n; ++i) {
+      price_flat[i] = price_scale * (link_terms.pos[i] - link_terms.neg[i]) *
+                      inv_link_cap[i];
     }
     approximator.potentials_into(price_flat, pi, tree_workspace);
     for (std::size_t e = 0; e < m; ++e) {

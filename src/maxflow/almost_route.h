@@ -22,6 +22,10 @@
 //  * the helper keeps the terms e^{+-x-M}, and the gradient and link
 //    prices reuse them as e^{+-x-phi} = e^{+-x-M} / sum instead of calling
 //    exp again. This costs 2 (m + T n) doubles of workspace per call;
+//  * the link prices are division-free: one flat [t*n + v] loop multiplies
+//    by 2 alpha / sum and by the approximator's inverse link capacities,
+//    which are 0 at the roots, so the roots need no branch. The edge
+//    gradient multiplies by 1 / sum and keeps one division by cap(e);
 //  * dphi2/df_e = pi_v - pi_u (Eq. 4): one R application (subtree sums)
 //    and one R^T application (root-path prefix sums) per iteration;
 //  * the 17/16 rescaling loop keeps phi in [16 eps^-1 log n, ~17/16 of

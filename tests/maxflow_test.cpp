@@ -173,6 +173,104 @@ TEST(SymmetricSoftmax, RejectsUnorderedExclusions) {
   EXPECT_THROW(symmetric_softmax(x, {4}, terms), RequirementError);
 }
 
+// A dense grid whose step is not a power of two, so the reduction sees
+// arbitrary fractions of ln 2. std::exp is the reference.
+TEST(SymmetricSoftmax, ExpKernelWithinTwoEpsilonOnItsRange) {
+  const int steps = 1999993;
+  double worst = 0.0;
+  for (int k = 0; k <= steps; ++k) {
+    const double x = -708.0 + 1416.0 * k / steps;
+    const double want = std::exp(x);
+    const double got = detail::exp_kernel(x);
+    worst = std::max(worst, std::abs(got - want) / want);
+  }
+  EXPECT_LE(worst, 2.0 * DBL_EPSILON);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define DMF_TEST_HAVE_AVX2_WRAPPER 1
+
+struct RawSoftmax {
+  std::vector<double> pos;
+  std::vector<double> neg;
+  double max_abs = -1.0;
+  double sum = -1.0;
+};
+
+void raw_softmax(const std::vector<double>& x,
+                 const std::vector<std::size_t>& excluded, RawSoftmax& out) {
+  out.pos.assign(x.size(), -1.0);
+  out.neg.assign(x.size(), -1.0);
+  detail::softmax_terms(x.data(), x.size(), excluded.data(), excluded.size(),
+                        out.pos.data(), out.neg.data(), out.max_abs, out.sum);
+}
+
+// The same inlined body compiled for AVX2: symmetric_softmax's avx2
+// clone, reproduced in this test so the comparison runs on any x86-64
+// build.
+__attribute__((target("avx2"))) void raw_softmax_avx2(
+    const std::vector<double>& x, const std::vector<std::size_t>& excluded,
+    RawSoftmax& out) {
+  out.pos.assign(x.size(), -1.0);
+  out.neg.assign(x.size(), -1.0);
+  detail::softmax_terms(x.data(), x.size(), excluded.data(), excluded.size(),
+                        out.pos.data(), out.neg.data(), out.max_abs, out.sum);
+}
+
+void expect_bitwise_equal(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(detail::double_bits(a[i]), detail::double_bits(b[i]))
+        << "entry " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+#endif
+
+// The soft-max body must give the same bits when compiled for AVX2 as for
+// baseline x86-64: this fails if a clone that contracts into FMA (fma,
+// avx512f, arch=) is ever added.
+// 1500 covers the two-exp branch past the shared-scale limit.
+TEST(SymmetricSoftmax, BitwiseEqualAcrossVectorIsas) {
+#ifdef DMF_TEST_HAVE_AVX2_WRAPPER
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "no AVX2 on this CPU";
+  for (const double max_abs : {37.5, 355.0, 700.0, 1500.0}) {
+    SCOPED_TRACE(max_abs);
+    Rng rng(static_cast<std::uint64_t>(max_abs * 2.0) + 11);
+    std::vector<double> x(10007);  // not a multiple of 4: a lane tail
+    std::vector<std::size_t> excluded;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (i % 97 == 5) {
+        x[i] = 3.0 * max_abs;  // would change M if included
+        excluded.push_back(i);
+      } else {
+        x[i] = rng.next_double(-max_abs, max_abs);
+      }
+    }
+    x[1] = -max_abs;
+    RawSoftmax plain;
+    RawSoftmax avx2;
+    raw_softmax(x, excluded, plain);
+    raw_softmax_avx2(x, excluded, avx2);
+    EXPECT_EQ(plain.max_abs, max_abs);
+    EXPECT_EQ(detail::double_bits(plain.max_abs),
+              detail::double_bits(avx2.max_abs));
+    EXPECT_EQ(detail::double_bits(plain.sum), detail::double_bits(avx2.sum));
+    expect_bitwise_equal(plain.pos, avx2.pos);
+    expect_bitwise_equal(plain.neg, avx2.neg);
+
+    // The library entry point, whichever clone this CPU dispatches to.
+    SoftmaxTerms terms;
+    symmetric_softmax(x, excluded, terms);
+    EXPECT_EQ(detail::double_bits(plain.sum), detail::double_bits(terms.sum));
+    expect_bitwise_equal(plain.pos, terms.pos);
+    expect_bitwise_equal(plain.neg, terms.neg);
+  }
+#else
+  GTEST_SKIP() << "target(\"avx2\") needs GCC or Clang on x86-64";
+#endif
+}
+
 TEST(ShermanRoute, RoutesDemandExactly) {
   Rng rng(617);
   const Graph g = make_gnp_connected(25, 0.2, {1, 9}, rng);

@@ -8,7 +8,7 @@
 namespace dmf {
 
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
-                                           NodeId s, NodeId t) {
+                                           NodeId s, NodeId t, int bfs_height) {
   DMF_REQUIRE(kind != SolverKind::kSherman && kind != SolverKind::kCongestSim,
               "exact_max_flow_adapter: not an exact baseline");
   MaxFlowResult exact;
@@ -32,7 +32,7 @@ MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
   // Naive CONGEST accounting: collect the m edges at a leader over a BFS
   // tree, solve locally, broadcast the m flow values back.
   const congest::CostModel cost{.n = static_cast<int>(g.num_nodes()),
-                                .diameter = build_bfs_tree(g, 0).height};
+                                .diameter = bfs_height};
   out.rounds = 2.0 * cost.pipelined(static_cast<double>(g.num_edges()));
   return out;
 }
@@ -40,7 +40,8 @@ MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const Graph& g,
                                            NodeId s, NodeId t) {
   const CsrGraph csr(g);
-  return exact_max_flow_adapter(kind, csr, s, t);
+  return exact_max_flow_adapter(kind, csr, s, t,
+                                build_bfs_tree(csr, 0).height);
 }
 
 }  // namespace dmf

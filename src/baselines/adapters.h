@@ -19,10 +19,14 @@ namespace dmf {
 // Solve s-t max flow exactly with the requested baseline
 // (SolverKind::kSherman and kCongestSim are rejected — the engine routes
 // those itself).
-// The engine passes the snapshot's CSR view; the Graph overload packs a
-// transient one.
+// The engine passes the snapshot's CSR view together with `bfs_height`,
+// the height of the BFS tree from node 0 that the snapshot's
+// ShermanHierarchy computed once (ShermanHierarchy::bfs_height()), so an
+// exact query never rebuilds that tree just to price its rounds. The
+// Graph overload packs a transient CSR view and computes the height
+// itself; both report identical results.
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
-                                           NodeId s, NodeId t);
+                                           NodeId s, NodeId t, int bfs_height);
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const Graph& g,
                                            NodeId s, NodeId t);
 

@@ -21,14 +21,22 @@ struct MaxFlowResult {
 };
 
 // Exact max flow. An undirected edge of capacity c admits net flow at most
-// c in either direction (standard antisymmetric residual model). The
-// residual network is laid out flat from the CSR rows; the Graph
-// overloads pack a transient view first, so both forms traverse arcs in
-// the same order and return identical flows.
+// c in either direction (standard antisymmetric residual model).
+//
+// The residual state lives on the CSR slots: per slot the edge's
+// capacity and the net flow out along it (the edge's other slot holds the
+// negation). Each phase labels nodes with their residual distance to t,
+// by a BFS from t that stops once s is labelled, then augments from s
+// over arcs one step closer to t with an iterative DFS, so a long s-t
+// path never grows the call stack. Results are bitwise those of textbook
+// forward-levelled Dinic over the same arc order (dinic.cpp gives the
+// argument; tests/reference_dinic.h is the oracle). The Graph overloads
+// pack a transient CSR view first, so both forms return identical flows.
 MaxFlowResult dinic_max_flow(const CsrGraph& g, NodeId s, NodeId t);
 MaxFlowResult dinic_max_flow(const Graph& g, NodeId s, NodeId t);
 
-// The value only (slightly cheaper; no flow extraction).
+// The value only (no flow extraction); bitwise equal to
+// dinic_max_flow(...).value.
 double dinic_max_flow_value(const CsrGraph& g, NodeId s, NodeId t);
 double dinic_max_flow_value(const Graph& g, NodeId s, NodeId t);
 

@@ -1,13 +1,15 @@
-// Flat residual arc lists shared by the exact baselines.
+// Flat residual arc lists for push-relabel (and the forward-levelled
+// Dinic oracle in tests/reference_dinic.h). Dinic itself keeps its
+// residual state per CSR slot instead (see dinic.cpp).
 //
-// Both Dinic and push-relabel model an undirected edge e as the mutual
-// arc pair (2e, 2e+1) with antisymmetric flow. The per-node arc layout
+// Push-relabel models an undirected edge e as the mutual arc pair
+// (2e, 2e+1) with antisymmetric flow. The per-node arc layout
 // IS the CSR layout: node v's arcs live at [offsets[v], offsets[v+1])
 // and arc i's target is the CSR neighbor at the same position — so
 // FlatArcs borrows the CsrGraph's offsets and neighbor arrays directly
 // and materializes only the direction-tagged arc ids. Per-node order
 // matches the pre-CSR vector-of-vectors layout (edge-id ascending), so
-// both solvers traverse arcs identically to their earlier selves.
+// push-relabel traverses arcs identically to its earlier self.
 //
 // Lifetime: borrows from `g`; the CsrGraph must outlive the FlatArcs.
 #pragma once

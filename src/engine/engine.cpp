@@ -740,8 +740,8 @@ struct FlowEngine::Core {
           out.payload = sv.solver.max_flow(q.s, q.t);
         }
       } else {
-        out.payload =
-            exact_max_flow_adapter(entry.kind, *sv.snapshot.csr, q.s, q.t);
+        out.payload = exact_max_flow_adapter(entry.kind, *sv.snapshot.csr, q.s,
+                                             q.t, sv.hierarchy->bfs_height());
       }
     } catch (const std::exception& e) {
       out.code = classify_error(e);

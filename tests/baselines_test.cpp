@@ -2,19 +2,31 @@
 // utilities, and max-weight spanning-tree routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <thread>
 
 #include "baselines/adapters.h"
 #include "baselines/dinic.h"
 #include "baselines/push_relabel.h"
 #include "baselines/tree_routing.h"
+#include "engine/engine.h"
 #include "graph/algorithms.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
+#include "reference_dinic.h"
 #include "util/rng.h"
 
 namespace dmf {
 namespace {
+
+std::uint64_t bits(double x) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &x, sizeof out);
+  return out;
+}
 
 TEST(Dinic, SingleEdge) {
   Graph g(2);
@@ -92,6 +104,107 @@ TEST(Dinic, LayeredBottleneckValue) {
   NodeId t = 0;
   const Graph g = make_layered_bottleneck(6, 5, 1000.0, 12.0, rng, &s, &t);
   EXPECT_NEAR(dinic_max_flow_value(g, s, t), 12.0, 1e-6);
+}
+
+// The augmenting search keeps its path on the heap: a 300k-hop s-t path
+// must fit a worker thread's default stack (a recursive DFS overflows it).
+TEST(Dinic, LongPathFitsAWorkerStack) {
+  Rng rng(71);
+  const NodeId n = 300000;
+  const Graph g = make_path(n, {1, 9}, rng);
+  const CsrGraph csr(g);
+  MaxFlowResult flow;
+  MinCutResult cut;
+  std::thread worker([&] {
+    flow = dinic_max_flow(csr, 0, n - 1);
+    cut = dinic_min_cut(csr, 0, n - 1);
+  });
+  worker.join();
+  double bottleneck = g.capacity(0);
+  for (EdgeId e = 1; e < g.num_edges(); ++e) {
+    bottleneck = std::min(bottleneck, g.capacity(e));
+  }
+  EXPECT_EQ(flow.value, bottleneck);
+  const auto saturated =
+      std::count(flow.edge_flow.begin(), flow.edge_flow.end(), bottleneck);
+  EXPECT_EQ(saturated, g.num_edges());
+  EXPECT_EQ(cut.capacity, bottleneck);
+  EXPECT_TRUE(cut.source_side[0]);
+  EXPECT_FALSE(cut.source_side[static_cast<std::size_t>(n - 1)]);
+}
+
+// One graph per parity family; integer capacities except the last, whose
+// fractional jitter makes every bottleneck and flow sum round.
+Graph parity_family(int family, Rng& rng) {
+  switch (family) {
+    case 0:
+      return make_gnp_connected(60, 0.06, {1, 9}, rng);
+    case 1:
+      return make_gnp_connected(36, 0.5, {1, 9}, rng);
+    case 2:
+      return make_grid(8, 6, {1, 9}, rng);
+    case 3:
+      return make_torus(7, 6, {1, 9}, rng);
+    case 4:
+      return make_barbell(9, {2, 9}, 3.0, rng);
+    case 5:
+      return make_complete(14, {1, 9}, rng);
+    case 6:
+      return make_random_regular(40, 3, {1, 9}, rng);
+    case 7: {
+      // Tree plus chords, with parallel copies of random edges.
+      Graph g = make_tree_plus_chords(48, 16, {1, 9}, rng);
+      const auto m = static_cast<std::uint64_t>(g.num_edges());
+      for (int k = 0; k < 12; ++k) {
+        const EdgeEndpoints ep =
+            g.endpoints(static_cast<EdgeId>(rng.next_below(m)));
+        g.add_edge(ep.u, ep.v, draw_capacity({1, 9}, rng));
+      }
+      return g;
+    }
+    default: {
+      Graph g = make_gnp_connected(48, 0.12, {1, 9}, rng);
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        g.set_capacity(e, g.capacity(e) * rng.next_double(0.5, 1.5));
+      }
+      return g;
+    }
+  }
+}
+
+// The slot-based, sink-levelled Dinic returns bit for bit what the
+// textbook forward-levelled search (tests/reference_dinic.h) returns:
+// 9 families x 4 graphs x 8 random s-t pairs.
+TEST(Dinic, BitwiseParityWithForwardLevelledReference) {
+  for (int family = 0; family < 9; ++family) {
+    for (int seed = 0; seed < 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "family " << family << " #" << seed);
+      Rng rng(static_cast<std::uint64_t>(family * 1000 + seed + 97));
+      const Graph g = parity_family(family, rng);
+      const CsrGraph csr(g);
+      const auto n = static_cast<std::uint64_t>(g.num_nodes());
+      for (int pair = 0; pair < 8; ++pair) {
+        const auto s = static_cast<NodeId>(rng.next_below(n));
+        auto t = static_cast<NodeId>(rng.next_below(n - 1));
+        if (t >= s) ++t;
+        SCOPED_TRACE(testing::Message() << "s=" << s << " t=" << t);
+        const MaxFlowResult got = dinic_max_flow(csr, s, t);
+        const MaxFlowResult want = reference::forward_dinic_max_flow(csr, s, t);
+        ASSERT_EQ(bits(got.value), bits(want.value));
+        ASSERT_EQ(got.edge_flow.size(), want.edge_flow.size());
+        for (std::size_t e = 0; e < got.edge_flow.size(); ++e) {
+          ASSERT_EQ(bits(got.edge_flow[e]), bits(want.edge_flow[e]))
+              << "edge " << e;
+        }
+        EXPECT_EQ(bits(dinic_max_flow_value(csr, s, t)), bits(want.value));
+        const MinCutResult got_cut = dinic_min_cut(csr, s, t);
+        const MinCutResult want_cut =
+            reference::forward_dinic_min_cut(csr, s, t);
+        ASSERT_EQ(bits(got_cut.capacity), bits(want_cut.capacity));
+        ASSERT_EQ(got_cut.source_side, want_cut.source_side);
+      }
+    }
+  }
 }
 
 TEST(PushRelabel, AgreesWithDinicOnRandomGraphs) {
@@ -209,6 +322,52 @@ TEST(ExactAdapter, MatchesDinicAndRejectsNonExactKinds) {
                RequirementError);
   EXPECT_THROW(exact_max_flow_adapter(SolverKind::kCongestSim, g, 0, 19),
                RequirementError);
+}
+
+// The engine prices exact reads with the BFS height its hierarchy
+// computed once per snapshot; the rounds must equal what the Graph
+// overload derives from a fresh BFS, on the built snapshot, after a
+// capacity repair, and after a topology rebuild that changes the height.
+TEST(ExactAdapter, EngineExactReadsReportGraphOverloadRounds) {
+  Rng rng(73);
+  const Graph g = make_grid(12, 6, {1, 9}, rng);
+  EngineOptions options;
+  options.threads = 1;
+  options.sherman.num_trees = 4;
+  options.seed = 20261018;
+  FlowEngine engine(g, options);
+  const auto check_reads = [&engine](const Graph& current) {
+    const NodeId last = current.num_nodes() - 1;
+    const NodeId pairs[][2] = {{0, last}, {5, 40}, {last, 13}, {30, 31}};
+    for (const auto& pair : pairs) {
+      const NodeId s = pair[0];
+      const NodeId t = pair[1];
+      const Result<MaxFlowApproxResult> read =
+          engine.submit(MaxFlowQuery{s, t, 0.0, true}).get();
+      ASSERT_TRUE(read.ok()) << read.message;
+      const MaxFlowApproxResult want =
+          exact_max_flow_adapter(SolverKind::kDinic, current, s, t);
+      EXPECT_EQ(read.value().rounds, want.rounds);
+      EXPECT_EQ(bits(read.value().value), bits(want.value));
+      EXPECT_EQ(read.value().flow, want.flow);
+    }
+  };
+  check_reads(g);
+
+  MutationBatch capacities;
+  capacities.set_capacity(0, 7.5).set_capacity(9, 0.25);
+  ASSERT_TRUE(engine.wait_for_version(engine.apply(capacities).version, 120));
+  check_reads(Graph(engine.graph()));
+
+  // A chord between opposite corners shortens the BFS tree from node 0.
+  const Graph before_chord(engine.graph());
+  MutationBatch chord;
+  chord.add_edge(0, before_chord.num_nodes() - 1, 2.0);
+  ASSERT_TRUE(engine.wait_for_version(engine.apply(chord).version, 120));
+  const Graph after_chord(engine.graph());
+  EXPECT_LT(build_bfs_tree(after_chord, 0).height,
+            build_bfs_tree(before_chord, 0).height);
+  check_reads(after_chord);
 }
 
 // Property sweep: Dinic value equals push-relabel value across families.

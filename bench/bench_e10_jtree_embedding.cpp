@@ -89,7 +89,8 @@ int main() {
         Multigraph mg = Multigraph::from_graph(g);
         const LowStretchTreeResult lsst =
             akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
-        const RootedTree tree = build_rooted_tree_mg(mg, lsst.tree_edges, 0);
+        const RootedTree tree = tree_from_multigraph_edges(
+            mg, lsst.tree_edges, 0, TreeLinkId::kMultigraphEdge);
         const std::vector<double> sizes(
             static_cast<std::size_t>(mg.num_nodes()), 1.0);
         JTreeOptions options;

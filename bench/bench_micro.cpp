@@ -1,17 +1,23 @@
 // E13: micro-benchmarks of the core data-structure operations
 // (google-benchmark). These are the per-iteration costs behind the
 // wall-clock of the pipeline: BFS, tree loads, R apply / R^T apply,
-// LSST construction, and the exact baselines.
+// LSST construction, j-tree and virtual-tree sampling, and the exact
+// baselines.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "baselines/dinic.h"
 #include "capprox/approximator.h"
 #include "capprox/hierarchy.h"
+#include "engine/engine.h"
 #include "graph/algorithms.h"
 #include "graph/csr_graph.h"
 #include "graph/flow.h"
 #include "graph/generators.h"
 #include "graph/tree.h"
+#include "jtree/jtree.h"
 #include "lsst/akpw.h"
 #include "util/rng.h"
 
@@ -101,15 +107,56 @@ void BM_AkpwLsst(benchmark::State& state) {
 }
 BENCHMARK(BM_AkpwLsst)->Arg(256)->Arg(1024);
 
+// The hierarchy options the FlowEngine samples with: structural
+// capacity quantization at its default width of 1 octave.
+HierarchyOptions engine_hierarchy_options() {
+  HierarchyOptions options;
+  options.capacity_bucket_octaves =
+      EngineOptions{}.capacity_quantization_octaves;
+  return options;
+}
+
+// One virtual tree, single-threaded, at the engine's settings; n = 2048 is
+// the size the mutate workload rebuilds and repairs.
 void BM_SampleVirtualTree(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));
+  const HierarchyOptions options = engine_hierarchy_options();
   Rng rng(11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sample_virtual_tree(g, HierarchyOptions{}, rng).levels);
+    benchmark::DoNotOptimize(sample_virtual_tree(g, options, rng).levels);
   }
 }
-BENCHMARK(BM_SampleVirtualTree)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SampleVirtualTree)->Arg(256)->Arg(1024)->Arg(2048);
+
+// One level-0 j-tree (Madry's construction with the Lemma 8.2 random cut
+// set) over an AKPW tree of the quantized base multigraph, with the j the
+// hierarchy picks at beta = 4.
+void BM_BuildJTree(benchmark::State& state) {
+  const Graph g = bench_graph(state.range(0));
+  const HierarchyOptions options = engine_hierarchy_options();
+  Multigraph core = Multigraph::from_graph(g);
+  for (std::size_t i = 0; i < core.num_edges(); ++i) {
+    MultiEdge& e = core.edge_mutable(i);
+    e.cap = structural_capacity(e.cap, options.capacity_bucket_octaves, 0.5);
+    e.length = 1.0 / e.cap;
+  }
+  Rng rng(17);
+  const LowStretchTreeResult lsst =
+      akpw_low_stretch_tree(core, options.akpw, rng);
+  const RootedTree tree = tree_from_multigraph_edges(
+      core, lsst.tree_edges, 0, TreeLinkId::kMultigraphEdge);
+  const std::vector<double> sizes(static_cast<std::size_t>(g.num_nodes()),
+                                  1.0);
+  JTreeOptions jopt;
+  jopt.j = std::max(1, static_cast<int>(static_cast<double>(g.num_nodes()) /
+                                        (4.0 * options.beta)));
+  jopt.sqrt_target = std::sqrt(static_cast<double>(g.num_nodes()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        build_jtree(core, tree, sizes, jopt, rng).portal_count);
+  }
+}
+BENCHMARK(BM_BuildJTree)->Arg(256)->Arg(2048);
 
 void BM_ApproximatorApply(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));

@@ -13,13 +13,13 @@ CongestionApproximator::CongestionApproximator(std::vector<RootedTree> trees)
   DMF_REQUIRE(!trees_.empty(), "CongestionApproximator: need >= 1 tree");
   n_ = trees_.front().num_nodes();
   const auto nn = static_cast<std::size_t>(n_);
-  orders_.reserve(trees_.size());
+  topdown_.reserve(trees_.size());
   inv_link_cap_.assign(trees_.size() * nn, 0.0);
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     const RootedTree& tree = trees_[t];
     DMF_REQUIRE(tree.num_nodes() == n_,
                 "CongestionApproximator: tree size mismatch");
-    orders_.push_back(tree_order(tree));
+    topdown_.push_back(tree_order(tree).topdown);
     for (NodeId v = 0; v < n_; ++v) {
       if (v == tree.root) continue;
       const double cap = tree.parent_cap[static_cast<std::size_t>(v)];
@@ -48,7 +48,7 @@ double CongestionApproximator::congestion_norm(
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     // Subtree sums of b, bottom-up over the precomputed order.
     std::vector<double> sums = b;
-    const auto& order = orders_[t].topdown;
+    const auto& order = topdown_[t];
     const RootedTree& tree = trees_[t];
     const double* inv = inv_link_cap_.data() + t * static_cast<std::size_t>(n_);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -71,7 +71,7 @@ std::vector<std::vector<double>> CongestionApproximator::apply(
   std::vector<std::vector<double>> y(trees_.size());
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     std::vector<double> sums = b;
-    const auto& order = orders_[t].topdown;
+    const auto& order = topdown_[t];
     const RootedTree& tree = trees_[t];
     const double* inv = inv_link_cap_.data() + t * static_cast<std::size_t>(n_);
     y[t].assign(static_cast<std::size_t>(n_), 0.0);
@@ -99,7 +99,7 @@ std::vector<double> CongestionApproximator::potentials(
                 "potentials: price size mismatch");
     const RootedTree& tree = trees_[t];
     std::vector<double> acc(static_cast<std::size_t>(n_), 0.0);
-    for (const NodeId v : orders_[t].topdown) {
+    for (const NodeId v : topdown_[t]) {
       const NodeId p = tree.parent[static_cast<std::size_t>(v)];
       if (p != kInvalidNode) {
         acc[static_cast<std::size_t>(v)] =
@@ -131,7 +131,7 @@ void CongestionApproximator::apply_into(
     double* sums = sums_workspace.data();
     double* y = y_flat.data() + t * nn;
     const double* inv = inv_link_cap_.data() + t * nn;
-    const auto& order = orders_[t].topdown;
+    const auto& order = topdown_[t];
     const NodeId* parent = trees_[t].parent.data();
     y[static_cast<std::size_t>(trees_[t].root)] = 0.0;
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -160,7 +160,7 @@ void CongestionApproximator::potentials_into(
     // The top-down order writes every node exactly once (parents before
     // children); only the root needs pinning, so no bulk zeroing.
     acc[static_cast<std::size_t>(trees_[t].root)] = 0.0;
-    for (const NodeId v : orders_[t].topdown) {
+    for (const NodeId v : topdown_[t]) {
       const auto vi = static_cast<std::size_t>(v);
       const NodeId p = parent[vi];
       if (p != kInvalidNode) {

@@ -78,7 +78,7 @@ class CongestionApproximator {
  private:
   NodeId n_ = 0;
   std::vector<RootedTree> trees_;
-  std::vector<TreeOrder> orders_;
+  std::vector<std::vector<NodeId>> topdown_;  // per tree, parents first
   std::vector<double> inv_link_cap_;  // [t*n + v]; see inv_link_cap_flat
 };
 

@@ -40,21 +40,58 @@ double structural_capacity(double capacity, double octaves, double dither) {
                   1e-300);
 }
 
-VirtualTreeSample sample_virtual_tree(const Graph& g,
-                                      const HierarchyOptions& options,
-                                      Rng& rng) {
+namespace {
+
+// One BFS from node 0 both checks connectivity and measures the height.
+template <typename Traversed>
+int connected_bfs_height(const Graph& g, const Traversed& view) {
+  DMF_REQUIRE(g.num_nodes() >= 1, "sample_virtual_tree: empty graph");
+  const BfsTree bfs = build_bfs_tree(view, 0);
+  DMF_REQUIRE(std::find(bfs.depth.begin(), bfs.depth.end(), kUnreached) ==
+                  bfs.depth.end(),
+              "sample_virtual_tree: graph must be connected");
+  return bfs.height;
+}
+
+// One j-tree candidate of a level: its AKPW tree (links are core edge
+// indices) and the shape build_jtree_shape decided on it.
+struct Candidate {
+  RootedTree tree;
+  JTreeShape shape;
+};
+
+// Everything one tree's construction allocates, kept across levels, MWU
+// rounds and trees so that a worker stops allocating once it has grown.
+struct SamplingWorkspace {
+  Multigraph core;
+  Multigraph next_core;
+  std::vector<NodeId> rep;
+  std::vector<NodeId> new_rep;
+  std::vector<NodeId> old_to_new;
+  std::vector<double> cluster_size;
+  std::vector<double> new_size;
+  std::vector<double> weight;
+  std::vector<double> lambda;
+  std::vector<Candidate> candidates;
+  JTree pick;
+  AkpwWorkspace akpw;
+  SparsifyWorkspace sparsify;
+  JTreeWorkspace jtree;
+  MultiAdjacency tree_adjacency;
+  std::vector<NodeId> queue;
+};
+
+VirtualTreeSample sample_tree(const TreeSamplingBase& base,
+                              const HierarchyOptions& options, Rng& rng,
+                              SamplingWorkspace& ws) {
+  const Graph& g = base.graph();
   const NodeId n = g.num_nodes();
   const auto nn = static_cast<std::size_t>(n);
-  DMF_REQUIRE(n >= 1, "sample_virtual_tree: empty graph");
   // The capacity-bucket dither is ALWAYS the stream's first draw (even
   // with quantization off), so a tree's dither — and hence its dirty
   // predicate under repair — is recomputable from its seed alone, and
   // the stream layout does not depend on the quantization width.
   const double dither = rng.next_double();
-  // Transient flat view for the two base-graph traversals below.
-  const CsrGraph csr(g);
-  DMF_REQUIRE(is_connected(csr),
-              "sample_virtual_tree: graph must be connected");
   DMF_REQUIRE(options.beta >= 2.0, "sample_virtual_tree: beta must be >= 2");
 
   VirtualTreeSample out;
@@ -71,11 +108,13 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
       options.trees_per_level > 0
           ? options.trees_per_level
           : std::max(3, static_cast<int>(std::lround(options.beta)));
+  if (ws.candidates.size() < static_cast<std::size_t>(trees_per_level)) {
+    ws.candidates.resize(static_cast<std::size_t>(trees_per_level));
+  }
 
   // Measured diameter bound for the round accounting.
-  const congest::CostModel cost{
-      .n = static_cast<int>(n),
-      .diameter = n > 0 ? build_bfs_tree(csr, 0).height : 0};
+  const congest::CostModel cost{.n = static_cast<int>(n),
+                                .diameter = base.bfs_height()};
   const double log_n = cost.log_n();
 
   // Level state. With quantization on, the structural phase sees every
@@ -83,7 +122,8 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
   // exact capacities return in the final recapacitation below. All
   // deeper levels derive from this core, so one pass here quantizes the
   // whole construction.
-  Multigraph core = Multigraph::from_graph(g);
+  Multigraph& core = ws.core;
+  core = base.multigraph();
   if (options.capacity_bucket_octaves > 0.0) {
     for (std::size_t i = 0; i < core.num_edges(); ++i) {
       MultiEdge& e = core.edge_mutable(i);
@@ -92,9 +132,11 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
       e.length = 1.0 / e.cap;
     }
   }
-  std::vector<NodeId> rep(nn);
+  std::vector<NodeId>& rep = ws.rep;
+  rep.resize(nn);
   std::iota(rep.begin(), rep.end(), 0);
-  std::vector<double> cluster_size(nn, 1.0);
+  std::vector<double>& cluster_size = ws.cluster_size;  // one per core node
+  cluster_size.assign(nn, 1.0);
   double cluster_depth = 0.0;  // depth bound shared across the level
 
   bool went_local = false;
@@ -113,8 +155,7 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     const double large_clusters = std::min(
         static_cast<double>(level_n),
         static_cast<double>(std::count_if(
-            cluster_size.begin(),
-            cluster_size.begin() + static_cast<std::ptrdiff_t>(level_n),
+            cluster_size.begin(), cluster_size.end(),
             [sqrt_n](double s) { return s > sqrt_n; })));
     const double step =
         local ? 0.0 : cost.cluster_step(cluster_depth, large_clusters);
@@ -122,17 +163,19 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     // --- (1) Sparsify a dense core. ---
     if (static_cast<double>(core.num_edges()) >
         options.sparsify_degree * static_cast<double>(level_n)) {
-      SparsifyResult sp = sparsify(core, options.sparsifier, rng);
+      SparsifyResult& sp = sparsify(core, options.sparsifier, rng, ws.sparsify);
       for (std::size_t i = 0; i < sp.graph.num_edges(); ++i) {
         MultiEdge& e = sp.graph.edge_mutable(i);
         e.cap *= options.sparsifier_upscale;
         e.length = 1.0 / e.cap;
       }
-      core = std::move(sp.graph);
+      std::swap(core, sp.graph);
       if (!local) out.rounds += sp.rounds * std::max(1.0, step);
     }
 
     // --- (2) Build the per-level j-tree distribution via MWU. ---
+    // Each candidate stops at its shape (every random draw happens
+    // there); only the sampled one is materialized, in step (3).
     const int j =
         std::max(1, static_cast<int>(static_cast<double>(level_n) /
                                      (4.0 * options.beta)));
@@ -140,42 +183,44 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     jopt.j = j;
     jopt.sqrt_target = local ? 0.0 : sqrt_n;
 
-    std::vector<double> weight(core.num_edges(), 1.0);
-    std::vector<JTree> distribution;
-    std::vector<double> lambda;  // sampling weight per tree
-    distribution.reserve(static_cast<std::size_t>(trees_per_level));
-    std::vector<double> sizes(cluster_size.begin(),
-                              cluster_size.begin() +
-                                  static_cast<std::ptrdiff_t>(level_n));
+    std::vector<double>& weight = ws.weight;
+    weight.assign(core.num_edges(), 1.0);
+    std::vector<double>& lambda = ws.lambda;  // sampling weight per tree
+    lambda.clear();
     for (int t = 0; t < trees_per_level; ++t) {
       for (std::size_t i = 0; i < core.num_edges(); ++i) {
         MultiEdge& e = core.edge_mutable(i);
         e.length = weight[i] / e.cap;
       }
-      const LowStretchTreeResult lsst =
-          akpw_low_stretch_tree(core, options.akpw, rng);
-      const RootedTree tree = build_rooted_tree_mg(core, lsst.tree_edges, 0);
-      JTree jt = build_jtree(core, tree, sizes, jopt, rng);
-      if (jt.portal_count >= level_n && level_n > 1) {
+      const LowStretchTreeResult& lsst =
+          akpw_low_stretch_tree(core, options.akpw, rng, ws.akpw);
+      Candidate& cand = ws.candidates[static_cast<std::size_t>(t)];
+      tree_from_multigraph_edges(core, lsst.tree_edges, 0,
+                                 TreeLinkId::kMultigraphEdge, cand.tree,
+                                 ws.tree_adjacency, ws.queue);
+      build_jtree_shape(core, cand.tree, cluster_size, jopt, rng, cand.shape,
+                        ws.jtree);
+      if (cand.shape.portal_count >= level_n && level_n > 1) {
         // The random cut set R was too aggressive (possible when cluster
         // sizes approach sqrt(n) before the local threshold): rebuild
         // without it; Lemma 8.5 then guarantees < 4j portals.
         JTreeOptions fallback = jopt;
         fallback.sqrt_target = 0.0;
-        jt = build_jtree(core, tree, sizes, fallback, rng);
+        build_jtree_shape(core, cand.tree, cluster_size, fallback, rng,
+                          cand.shape, ws.jtree);
       }
-      // MWU: lengthen heavily loaded tree edges.
-      double max_rload = 0.0;
-      for (const double r : jt.tree_rload) max_rload = std::max(max_rload, r);
+      // MWU: lengthen heavily loaded tree edges (every tree link has
+      // relative load >= 1).
+      const double max_rload = cand.shape.max_rload;
       if (max_rload > 0.0) {
-        for (std::size_t i = 0; i < core.num_edges(); ++i) {
-          if (jt.tree_rload[i] > 0.0) {
-            weight[i] *= 1.0 + options.mwu_eta * jt.tree_rload[i] / max_rload;
-          }
+        for (NodeId v = 0; v < level_n; ++v) {
+          if (v == cand.tree.root) continue;
+          const auto vi = static_cast<std::size_t>(v);
+          weight[static_cast<std::size_t>(cand.tree.parent_edge[vi])] *=
+              1.0 + options.mwu_eta * cand.shape.rload[vi] / max_rload;
         }
       }
       lambda.push_back(1.0 / std::max(1.0, max_rload));
-      distribution.push_back(std::move(jt));
       if (!local) {
         // LSST construction simulated on the cluster graph + the load
         // aggregation of Lemma 8.3.
@@ -193,7 +238,7 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     double lambda_total = 0.0;
     for (const double l : lambda) lambda_total += l;
     double draw = rng.next_double() * lambda_total;
-    std::size_t pick_index = distribution.size() - 1;
+    std::size_t pick_index = lambda.size() - 1;
     for (std::size_t i = 0; i < lambda.size(); ++i) {
       draw -= lambda[i];
       if (draw <= 0.0) {
@@ -201,7 +246,9 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
         break;
       }
     }
-    const JTree& pick = distribution[pick_index];
+    const Candidate& chosen = ws.candidates[pick_index];
+    materialize_jtree(core, chosen.tree, chosen.shape, ws.pick, ws.jtree);
+    const JTree& pick = ws.pick;
 
     // --- (4) Materialize forest links into the virtual tree. ---
     for (NodeId c = 0; c < level_n; ++c) {
@@ -222,10 +269,12 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
     const NodeId next_n = static_cast<NodeId>(pick.portal_count);
     DMF_REQUIRE(next_n >= 1 && next_n < level_n,
                 "sample_virtual_tree: no progress at this level");
-    std::vector<NodeId> old_to_new(static_cast<std::size_t>(level_n),
-                                   kInvalidNode);
-    std::vector<NodeId> new_rep(static_cast<std::size_t>(next_n));
-    std::vector<double> new_size(static_cast<std::size_t>(next_n), 0.0);
+    std::vector<NodeId>& old_to_new = ws.old_to_new;
+    old_to_new.assign(static_cast<std::size_t>(level_n), kInvalidNode);
+    std::vector<NodeId>& new_rep = ws.new_rep;
+    new_rep.resize(static_cast<std::size_t>(next_n));
+    std::vector<double>& new_size = ws.new_size;
+    new_size.assign(static_cast<std::size_t>(next_n), 0.0);
     NodeId next_id = 0;
     for (NodeId c = 0; c < level_n; ++c) {
       if (pick.is_portal[static_cast<std::size_t>(c)]) {
@@ -240,9 +289,10 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
       const NodeId p = pick.portal[static_cast<std::size_t>(c)];
       new_size[static_cast<std::size_t>(
           old_to_new[static_cast<std::size_t>(p)])] +=
-          sizes[static_cast<std::size_t>(c)];
+          cluster_size[static_cast<std::size_t>(c)];
     }
-    Multigraph next_core(next_n);
+    Multigraph& next_core = ws.next_core;
+    next_core.reset(next_n);
     for (std::size_t i = 0; i < pick.core.num_edges(); ++i) {
       MultiEdge e = pick.core.edge(i);
       e.u = old_to_new[static_cast<std::size_t>(e.u)];
@@ -262,9 +312,9 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
         std::max(out.max_cluster_depth,
                  static_cast<int>(std::min(cluster_depth,
                                            static_cast<double>(n))));
-    core = std::move(next_core);
-    rep.assign(new_rep.begin(), new_rep.end());
-    cluster_size.assign(new_size.begin(), new_size.end());
+    std::swap(core, next_core);
+    rep.swap(new_rep);
+    cluster_size.swap(new_size);
   }
 
   // Root the virtual tree at the last surviving representative.
@@ -289,23 +339,42 @@ VirtualTreeSample sample_virtual_tree(const Graph& g,
   return out;
 }
 
-std::vector<VirtualTreeSample> sample_virtual_trees(
-    const Graph& g, int count, const HierarchyOptions& options, Rng& rng,
-    std::vector<std::uint64_t>* seeds_out) {
-  if (count <= 0) {
-    count = static_cast<int>(
-        std::ceil(2.0 * std::log2(static_cast<double>(
-                            std::max<NodeId>(2, g.num_nodes())))));
-  }
-  // Derive one independent RNG stream per tree from the caller's
-  // generator BEFORE any sampling happens. The samples are then a pure
-  // function of the seed list, so the loop below may run on any number of
-  // threads and still produce bit-identical trees in the same order.
-  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
-  for (std::uint64_t& s : seeds) s = rng() ^ 0x9e3779b97f4a7c15ULL;
-  if (seeds_out != nullptr) *seeds_out = seeds;
+}  // namespace
 
-  std::vector<VirtualTreeSample> samples(static_cast<std::size_t>(count));
+TreeSamplingBase::TreeSamplingBase(const Graph& g)
+    : graph_(&g),
+      bfs_height_(connected_bfs_height(g, g)),
+      base_(Multigraph::from_graph(g)) {}
+
+TreeSamplingBase::TreeSamplingBase(const Graph& g, const CsrGraph& csr)
+    : graph_(&g),
+      bfs_height_(connected_bfs_height(g, csr)),
+      base_(Multigraph::from_graph(g)) {}
+
+VirtualTreeSample sample_virtual_tree(const Graph& g,
+                                      const HierarchyOptions& options,
+                                      Rng& rng) {
+  const TreeSamplingBase base(g);
+  SamplingWorkspace ws;
+  return sample_tree(base, options, rng, ws);
+}
+
+int default_virtual_tree_count(NodeId n) {
+  return static_cast<int>(std::ceil(
+      2.0 * std::log2(static_cast<double>(std::max<NodeId>(2, n)))));
+}
+
+void sample_trees_from_seeds(const TreeSamplingBase& base,
+                             const HierarchyOptions& options,
+                             const std::vector<std::uint64_t>& seeds,
+                             const std::vector<int>& indices,
+                             std::vector<VirtualTreeSample>& samples) {
+  const auto sample_one = [&](int i, SamplingWorkspace& ws) {
+    Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
+    samples[static_cast<std::size_t>(i)] =
+        sample_tree(base, options, tree_rng, ws);
+  };
+  const int count = static_cast<int>(indices.size());
   int threads = options.threads;
 #ifdef DMF_HAVE_OPENMP
   if (threads <= 0) threads = omp_get_max_threads();
@@ -313,28 +382,52 @@ std::vector<VirtualTreeSample> sample_virtual_trees(
     // Sampling may throw (DMF_REQUIRE); OpenMP must not let an exception
     // escape a parallel region, so capture the first one and rethrow.
     std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-    for (int i = 0; i < count; ++i) {
-      try {
-        Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
-        samples[static_cast<std::size_t>(i)] =
-            sample_virtual_tree(g, options, tree_rng);
-      } catch (...) {
+#pragma omp parallel num_threads(threads)
+    {
+      SamplingWorkspace ws;
+#pragma omp for schedule(dynamic)
+      for (int k = 0; k < count; ++k) {
+        try {
+          sample_one(indices[static_cast<std::size_t>(k)], ws);
+        } catch (...) {
 #pragma omp critical
-        if (!error) error = std::current_exception();
+          if (!error) error = std::current_exception();
+        }
       }
     }
     if (error) std::rethrow_exception(error);
-    return samples;
+    return;
   }
 #else
   (void)threads;
 #endif
-  for (int i = 0; i < count; ++i) {
-    Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
-    samples[static_cast<std::size_t>(i)] =
-        sample_virtual_tree(g, options, tree_rng);
-  }
+  SamplingWorkspace ws;
+  for (const int i : indices) sample_one(i, ws);
+}
+
+std::vector<VirtualTreeSample> sample_virtual_trees(
+    const Graph& g, int count, const HierarchyOptions& options, Rng& rng,
+    std::vector<std::uint64_t>* seeds_out) {
+  return sample_virtual_trees(TreeSamplingBase(g), count, options, rng,
+                              seeds_out);
+}
+
+std::vector<VirtualTreeSample> sample_virtual_trees(
+    const TreeSamplingBase& base, int count, const HierarchyOptions& options,
+    Rng& rng, std::vector<std::uint64_t>* seeds_out) {
+  if (count <= 0) count = default_virtual_tree_count(base.graph().num_nodes());
+  // Derive one independent RNG stream per tree from the caller's
+  // generator BEFORE any sampling happens. The samples are then a pure
+  // function of the seed list, so the loop may run on any number of
+  // threads and still produce bit-identical trees in the same order.
+  std::vector<std::uint64_t> seeds(static_cast<std::size_t>(count));
+  for (std::uint64_t& s : seeds) s = rng() ^ 0x9e3779b97f4a7c15ULL;
+  if (seeds_out != nullptr) *seeds_out = seeds;
+
+  std::vector<VirtualTreeSample> samples(static_cast<std::size_t>(count));
+  std::vector<int> indices(static_cast<std::size_t>(count));
+  std::iota(indices.begin(), indices.end(), 0);
+  sample_trees_from_seeds(base, options, seeds, indices, samples);
   return samples;
 }
 

@@ -24,7 +24,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr_graph.h"
 #include "graph/graph.h"
+#include "graph/multigraph.h"
 #include "graph/tree.h"
 #include "lsst/akpw.h"
 #include "sparsify/sparsifier.h"
@@ -110,20 +112,62 @@ struct VirtualTreeSample {
   int max_cluster_depth = 0;     // bound tracked during construction
 };
 
+// What every tree sampled from one graph shares, computed once per graph:
+// connectivity (checked), the BFS height that prices the round
+// accounting, and the base multigraph the structural phase starts from.
+// Holds a reference to the graph, which must outlive it.
+class TreeSamplingBase {
+ public:
+  // Traverses g's own adjacency.
+  explicit TreeSamplingBase(const Graph& g);
+  // Traverses the caller's CSR view of g (same result).
+  TreeSamplingBase(const Graph& g, const CsrGraph& csr);
+
+  [[nodiscard]] const Graph& graph() const { return *graph_; }
+  [[nodiscard]] int bfs_height() const { return bfs_height_; }
+  [[nodiscard]] const Multigraph& multigraph() const { return base_; }
+
+ private:
+  const Graph* graph_;
+  int bfs_height_ = 0;
+  Multigraph base_;
+};
+
 // Sample one virtual tree from the recursively constructed distribution.
 VirtualTreeSample sample_virtual_tree(const Graph& g,
                                       const HierarchyOptions& options,
                                       Rng& rng);
 
+// The tree count sample_virtual_trees resolves for count <= 0:
+// ceil(2 * log2 n). A ShermanHierarchy samples more: its
+// ShermanOptions::num_trees = 0 resolves to ceil(3 * log2 n).
+int default_virtual_tree_count(NodeId n);
+
 // O(log n) independent samples (Lemma 3.3); count <= 0 selects
-// ceil(2 * log2 n). Trees are sampled on options.threads workers (OpenMP
-// when available); per-tree RNG streams are seeded from `rng` up front, so
-// the result is identical at every thread count and `rng` advances by
-// exactly `count` draws either way. When `seeds_out` is non-null it
-// receives the per-tree stream seeds, the provenance an incremental
-// repair needs to resample individual trees later.
+// default_virtual_tree_count(n). Trees are sampled on options.threads
+// workers (OpenMP when available); per-tree RNG streams are seeded from
+// `rng` up front, so the result is identical at every thread count and
+// `rng` advances by exactly `count` draws either way. When `seeds_out` is
+// non-null it receives the per-tree stream seeds, the provenance an
+// incremental repair needs to resample individual trees later.
 std::vector<VirtualTreeSample> sample_virtual_trees(
     const Graph& g, int count, const HierarchyOptions& options, Rng& rng,
     std::vector<std::uint64_t>* seeds_out = nullptr);
+
+// Same, over precomputed per-graph invariants.
+std::vector<VirtualTreeSample> sample_virtual_trees(
+    const TreeSamplingBase& base, int count, const HierarchyOptions& options,
+    Rng& rng, std::vector<std::uint64_t>* seeds_out = nullptr);
+
+// The per-tree loop both of the above and ShermanHierarchy::repair run:
+// for every i in `indices`, samples[i] becomes the tree sampled from the
+// stream seeded with seeds[i]. Runs on options.threads workers (OpenMP
+// when available), each reusing one workspace across its trees; the
+// first exception any tree throws is rethrown after the loop.
+void sample_trees_from_seeds(const TreeSamplingBase& base,
+                             const HierarchyOptions& options,
+                             const std::vector<std::uint64_t>& seeds,
+                             const std::vector<int>& indices,
+                             std::vector<VirtualTreeSample>& samples);
 
 }  // namespace dmf

@@ -1,6 +1,7 @@
 #include "graph/multigraph.h"
 
-#include <queue>
+#include <algorithm>
+#include <limits>
 
 namespace dmf {
 
@@ -17,44 +18,63 @@ Multigraph Multigraph::from_graph(const Graph& g) {
 
 Multigraph Multigraph::contract(const std::vector<NodeId>& mapping,
                                 NodeId new_num_nodes) const {
+  Multigraph out = *this;
+  out.contract_in_place(mapping, new_num_nodes);
+  return out;
+}
+
+void Multigraph::contract_in_place(const std::vector<NodeId>& mapping,
+                                   NodeId new_num_nodes) {
   DMF_REQUIRE(mapping.size() == static_cast<std::size_t>(num_nodes_),
               "Multigraph::contract: mapping size mismatch");
-  Multigraph out(new_num_nodes);
-  out.edges_.reserve(edges_.size());
+  DMF_REQUIRE(new_num_nodes >= 0, "Multigraph: negative node count");
+  // Compaction: the write position never passes the read position.
+  std::size_t kept = 0;
   for (const MultiEdge& e : edges_) {
     const NodeId nu = mapping[static_cast<std::size_t>(e.u)];
     const NodeId nv = mapping[static_cast<std::size_t>(e.v)];
     DMF_REQUIRE(nu >= 0 && nu < new_num_nodes && nv >= 0 && nv < new_num_nodes,
                 "Multigraph::contract: mapped endpoint out of range");
     if (nu == nv) continue;  // drop self-loops
-    MultiEdge ne = e;
+    MultiEdge& ne = edges_[kept++];
+    ne = e;
     ne.u = nu;
     ne.v = nv;
-    out.edges_.push_back(ne);
   }
-  return out;
+  edges_.resize(kept);
+  num_nodes_ = new_num_nodes;
 }
 
 bool Multigraph::is_connected() const {
+  std::vector<NodeId> scratch;
+  return is_connected(scratch);
+}
+
+bool Multigraph::is_connected(std::vector<NodeId>& scratch) const {
   if (num_nodes_ <= 1) return true;
-  const MultiAdjacency adj(*this);
-  std::vector<char> seen(static_cast<std::size_t>(num_nodes_), 0);
-  std::queue<NodeId> frontier;
-  seen[0] = 1;
-  frontier.push(0);
-  NodeId reached = 1;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    for (const MultiAdjacency::Entry& a : adj.row(v)) {
-      if (!seen[static_cast<std::size_t>(a.to)]) {
-        seen[static_cast<std::size_t>(a.to)] = 1;
-        ++reached;
-        frontier.push(a.to);
-      }
+  // Union-find with path halving; connected iff every edge union leaves
+  // a single component.
+  std::vector<NodeId>& up = scratch;
+  up.resize(static_cast<std::size_t>(num_nodes_));
+  for (NodeId v = 0; v < num_nodes_; ++v) up[static_cast<std::size_t>(v)] = v;
+  const auto find = [&up](NodeId v) {
+    while (up[static_cast<std::size_t>(v)] != v) {
+      const NodeId grand =
+          up[static_cast<std::size_t>(up[static_cast<std::size_t>(v)])];
+      up[static_cast<std::size_t>(v)] = grand;
+      v = grand;
     }
+    return v;
+  };
+  NodeId components = num_nodes_;
+  for (const MultiEdge& e : edges_) {
+    const NodeId a = find(e.u);
+    const NodeId b = find(e.v);
+    if (a == b) continue;
+    up[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+    if (--components == 1) return true;
   }
-  return reached == num_nodes_;
+  return false;
 }
 
 // --- MultiAdjacency ----------------------------------------------------------
@@ -76,24 +96,39 @@ void MultiAdjacency::build(NodeId num_nodes, const Multigraph& g,
     ++offsets_[static_cast<std::size_t>(e.v) + 1];
     ++selected;
   });
+  DMF_REQUIRE(edges.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "MultiAdjacency: edge index exceeds 32 bits");
   for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
   entries_.resize(2 * selected);
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
   for_each([&](std::size_t i) {
     const MultiEdge& e = edges[i];
-    entries_[cursor[static_cast<std::size_t>(e.u)]++] = {e.v, i};
-    entries_[cursor[static_cast<std::size_t>(e.v)]++] = {e.u, i};
+    const auto idx = static_cast<std::uint32_t>(i);
+    entries_[cursor_[static_cast<std::size_t>(e.u)]++] = {e.v, idx};
+    entries_[cursor_[static_cast<std::size_t>(e.v)]++] = {e.u, idx};
   });
 }
 
-MultiAdjacency::MultiAdjacency(const Multigraph& g) {
+MultiAdjacency::MultiAdjacency(const Multigraph& g) { assign(g); }
+
+MultiAdjacency::MultiAdjacency(const Multigraph& g,
+                               const std::vector<char>& allowed) {
+  assign(g, allowed);
+}
+
+MultiAdjacency::MultiAdjacency(NodeId num_nodes, const Multigraph& g,
+                               const std::vector<std::size_t>& edges) {
+  assign(num_nodes, g, edges);
+}
+
+void MultiAdjacency::assign(const Multigraph& g) {
   build(g.num_nodes(), g, [&](auto&& visit) {
     for (std::size_t i = 0; i < g.num_edges(); ++i) visit(i);
   });
 }
 
-MultiAdjacency::MultiAdjacency(const Multigraph& g,
-                               const std::vector<char>& allowed) {
+void MultiAdjacency::assign(const Multigraph& g,
+                            const std::vector<char>& allowed) {
   DMF_REQUIRE(allowed.size() == g.num_edges(),
               "MultiAdjacency: allowed mask size mismatch");
   build(g.num_nodes(), g, [&](auto&& visit) {
@@ -103,8 +138,8 @@ MultiAdjacency::MultiAdjacency(const Multigraph& g,
   });
 }
 
-MultiAdjacency::MultiAdjacency(NodeId num_nodes, const Multigraph& g,
-                               const std::vector<std::size_t>& edges) {
+void MultiAdjacency::assign(NodeId num_nodes, const Multigraph& g,
+                            const std::vector<std::size_t>& edges) {
   build(num_nodes, g, [&](auto&& visit) {
     for (const std::size_t i : edges) visit(i);
   });

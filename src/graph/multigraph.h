@@ -9,6 +9,7 @@
 // also a graph edge").
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -44,14 +45,31 @@ class Multigraph {
   [[nodiscard]] NodeId num_nodes() const { return num_nodes_; }
   [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
 
+  // Empties the edge list and sets the node count, keeping the edge
+  // storage for reuse.
+  void reset(NodeId num_nodes) {
+    DMF_REQUIRE(num_nodes >= 0, "Multigraph: negative node count");
+    num_nodes_ = num_nodes;
+    edges_.clear();
+  }
+
   std::size_t add_edge(MultiEdge e) {
-    DMF_REQUIRE(e.u >= 0 && e.u < num_nodes_ && e.v >= 0 && e.v < num_nodes_,
-                "Multigraph::add_edge: endpoint out of range");
-    DMF_REQUIRE(e.u != e.v, "Multigraph::add_edge: self-loop");
-    DMF_REQUIRE(e.cap > 0.0 && e.length > 0.0,
-                "Multigraph::add_edge: cap and length must be positive");
+    check_edge(e);
     edges_.push_back(e);
     return edges_.size() - 1;
+  }
+
+  // Overwrites edge i, checked like add_edge. With truncate() this
+  // compacts an edge list in place.
+  void set_edge(std::size_t i, const MultiEdge& e) {
+    DMF_REQUIRE(i < edges_.size(), "Multigraph::set_edge: bad index");
+    check_edge(e);
+    edges_[i] = e;
+  }
+  // Keeps the first `count` edges.
+  void truncate(std::size_t count) {
+    DMF_REQUIRE(count <= edges_.size(), "Multigraph::truncate: bad count");
+    edges_.resize(count);
   }
 
   [[nodiscard]] const MultiEdge& edge(std::size_t i) const {
@@ -68,10 +86,23 @@ class Multigraph {
   // [0, new_num_nodes)). Self-loops are dropped; parallel edges are kept.
   [[nodiscard]] Multigraph contract(const std::vector<NodeId>& mapping,
                                     NodeId new_num_nodes) const;
+  // Same, in place: surviving edges keep their relative order.
+  void contract_in_place(const std::vector<NodeId>& mapping,
+                         NodeId new_num_nodes);
 
   [[nodiscard]] bool is_connected() const;
+  // Same, with caller-owned scratch (a union-find over the nodes).
+  bool is_connected(std::vector<NodeId>& scratch) const;
 
  private:
+  void check_edge(const MultiEdge& e) const {
+    DMF_REQUIRE(e.u >= 0 && e.u < num_nodes_ && e.v >= 0 && e.v < num_nodes_,
+                "Multigraph::add_edge: endpoint out of range");
+    DMF_REQUIRE(e.u != e.v, "Multigraph::add_edge: self-loop");
+    DMF_REQUIRE(e.cap > 0.0 && e.length > 0.0,
+                "Multigraph::add_edge: cap and length must be positive");
+  }
+
   NodeId num_nodes_ = 0;
   std::vector<MultiEdge> edges_;
 };
@@ -87,9 +118,11 @@ class Multigraph {
 // rebuild after mutating or contracting the multigraph.
 class MultiAdjacency {
  public:
+  // 8 bytes: edge indices are stored in 32 bits (build() checks the
+  // multigraph fits).
   struct Entry {
     NodeId to = kInvalidNode;
-    std::size_t edge = kNoMultiEdge;
+    std::uint32_t edge = 0;
   };
 
   class Row {
@@ -106,6 +139,8 @@ class MultiAdjacency {
     const Entry* end_;
   };
 
+  MultiAdjacency() = default;
+
   // All edges of g, in edge-index order.
   explicit MultiAdjacency(const Multigraph& g);
 
@@ -115,6 +150,13 @@ class MultiAdjacency {
   // An explicit edge-index list (e.g. a spanning tree), in list order.
   MultiAdjacency(NodeId num_nodes, const Multigraph& g,
                  const std::vector<std::size_t>& edges);
+
+  // Rebuild in place, one per constructor above; the storage is reused,
+  // so a workspace-held adjacency stops allocating once it has grown.
+  void assign(const Multigraph& g);
+  void assign(const Multigraph& g, const std::vector<char>& allowed);
+  void assign(NodeId num_nodes, const Multigraph& g,
+              const std::vector<std::size_t>& edges);
 
   [[nodiscard]] Row row(NodeId v) const {
     DMF_ASSERT(v >= 0 && static_cast<std::size_t>(v) + 1 < offsets_.size(),
@@ -132,6 +174,7 @@ class MultiAdjacency {
 
   std::vector<std::size_t> offsets_;  // n + 1
   std::vector<Entry> entries_;        // one per half-edge
+  std::vector<std::size_t> cursor_;   // fill position per node (build only)
 };
 
 }  // namespace dmf

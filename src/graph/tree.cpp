@@ -1,7 +1,6 @@
 #include "graph/tree.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "graph/algorithms.h"
 
@@ -32,12 +31,19 @@ RootedTree make_tree(NodeId root, std::vector<NodeId> parent) {
 }
 
 TreeOrder tree_order(const RootedTree& tree) {
-  const auto n = static_cast<std::size_t>(tree.num_nodes());
   TreeOrder order;
-  order.depth.assign(n, -1);
-  order.topdown.reserve(n);
+  tree_order(tree, order);
+  return order;
+}
 
-  std::vector<std::vector<NodeId>> children(n);
+void tree_order(const RootedTree& tree, TreeOrder& order) {
+  const auto n = static_cast<std::size_t>(tree.num_nodes());
+  order.height = 0;
+  order.depth.resize(n);
+  order.topdown.resize(n);
+  // Children CSR by counting sort over v: each row lists its children in
+  // increasing id order.
+  order.child_offset.assign(n + 1, 0);
   std::size_t roots = 0;
   for (NodeId v = 0; v < tree.num_nodes(); ++v) {
     const NodeId p = tree.parent[static_cast<std::size_t>(v)];
@@ -47,29 +53,42 @@ TreeOrder tree_order(const RootedTree& tree) {
     } else {
       DMF_REQUIRE(p >= 0 && static_cast<std::size_t>(p) < n,
                   "tree_order: parent out of range");
-      children[static_cast<std::size_t>(p)].push_back(v);
+      ++order.child_offset[static_cast<std::size_t>(p) + 1];
     }
   }
   DMF_REQUIRE(roots == 1, "tree_order: must have exactly one root");
-
-  std::queue<NodeId> frontier;
-  order.depth[static_cast<std::size_t>(tree.root)] = 0;
-  frontier.push(tree.root);
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    order.topdown.push_back(v);
-    order.height =
-        std::max(order.height, order.depth[static_cast<std::size_t>(v)]);
-    for (const NodeId c : children[static_cast<std::size_t>(v)]) {
-      order.depth[static_cast<std::size_t>(c)] =
-          order.depth[static_cast<std::size_t>(v)] + 1;
-      frontier.push(c);
+  for (std::size_t v = 0; v < n; ++v) {
+    order.child_offset[v + 1] += order.child_offset[v];
+  }
+  order.children.resize(n - 1);
+  // depth doubles as the per-parent fill cursor; the BFS below assigns
+  // every reachable node's depth afterwards.
+  std::vector<int>& cursor = order.depth;
+  for (std::size_t v = 0; v < n; ++v) cursor[v] = order.child_offset[v];
+  for (NodeId v = 0; v < tree.num_nodes(); ++v) {
+    const NodeId p = tree.parent[static_cast<std::size_t>(v)];
+    if (p != kInvalidNode) {
+      order.children[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(p)]++)] = v;
     }
   }
-  DMF_REQUIRE(order.topdown.size() == n,
+
+  // BFS from the root; topdown is its own queue.
+  std::size_t tail = 0;
+  order.depth[static_cast<std::size_t>(tree.root)] = 0;
+  order.topdown[tail++] = tree.root;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const auto v = static_cast<std::size_t>(order.topdown[head]);
+    const int d = order.depth[v];
+    order.height = std::max(order.height, d);
+    for (int c = order.child_offset[v]; c < order.child_offset[v + 1]; ++c) {
+      const NodeId child = order.children[static_cast<std::size_t>(c)];
+      order.depth[static_cast<std::size_t>(child)] = d + 1;
+      order.topdown[tail++] = child;
+    }
+  }
+  DMF_REQUIRE(tail == n,
               "tree_order: parent structure is cyclic or disconnected");
-  return order;
 }
 
 std::vector<std::vector<NodeId>> tree_children(const RootedTree& tree) {
@@ -86,17 +105,24 @@ std::vector<double> subtree_sums(const RootedTree& tree,
                                  const std::vector<double>& values) {
   DMF_REQUIRE(values.size() == static_cast<std::size_t>(tree.num_nodes()),
               "subtree_sums: size mismatch");
-  const TreeOrder order = tree_order(tree);
   std::vector<double> sums = values;
+  accumulate_subtree_sums(tree, tree_order(tree), sums);
+  return sums;
+}
+
+void accumulate_subtree_sums(const RootedTree& tree, const TreeOrder& order,
+                             std::vector<double>& values) {
+  DMF_REQUIRE(values.size() == order.topdown.size(),
+              "accumulate_subtree_sums: size mismatch");
   // Children precede parents when iterating top-down order in reverse.
   for (auto it = order.topdown.rbegin(); it != order.topdown.rend(); ++it) {
     const NodeId v = *it;
     const NodeId p = tree.parent[static_cast<std::size_t>(v)];
     if (p != kInvalidNode) {
-      sums[static_cast<std::size_t>(p)] += sums[static_cast<std::size_t>(v)];
+      values[static_cast<std::size_t>(p)] +=
+          values[static_cast<std::size_t>(v)];
     }
   }
-  return sums;
 }
 
 std::vector<double> route_demand_on_tree(const RootedTree& tree,
@@ -106,50 +132,31 @@ std::vector<double> route_demand_on_tree(const RootedTree& tree,
   return flow;
 }
 
-LcaIndex::LcaIndex(const RootedTree& tree) {
-  const auto n = static_cast<std::size_t>(tree.num_nodes());
-  const TreeOrder order = tree_order(tree);
-  depth_ = order.depth;
-  while ((1 << levels_) <= order.height + 1) ++levels_;
-  up_.assign(static_cast<std::size_t>(levels_),
-             std::vector<NodeId>(n, kInvalidNode));
-  for (NodeId v = 0; v < tree.num_nodes(); ++v) {
-    up_[0][static_cast<std::size_t>(v)] =
-        tree.parent[static_cast<std::size_t>(v)];
-  }
-  for (int k = 1; k < levels_; ++k) {
-    for (std::size_t v = 0; v < n; ++v) {
-      const NodeId mid = up_[static_cast<std::size_t>(k - 1)][v];
-      up_[static_cast<std::size_t>(k)][v] =
-          mid == kInvalidNode
-              ? kInvalidNode
-              : up_[static_cast<std::size_t>(k - 1)]
-                    [static_cast<std::size_t>(mid)];
-    }
-  }
+LcaIndex::LcaIndex(const RootedTree& tree) { build(tree, tree_order(tree)); }
+
+LcaIndex::LcaIndex(const RootedTree& tree, const TreeOrder& order) {
+  build(tree, order);
 }
 
-NodeId LcaIndex::lca(NodeId u, NodeId v) const {
-  DMF_ASSERT(u >= 0 && v >= 0, "lca: bad nodes");
-  if (depth(u) < depth(v)) std::swap(u, v);
-  int diff = depth(u) - depth(v);
-  for (int k = 0; diff > 0; ++k, diff >>= 1) {
-    if (diff & 1) {
-      u = up_[static_cast<std::size_t>(k)][static_cast<std::size_t>(u)];
+void LcaIndex::build(const RootedTree& tree, const TreeOrder& order) {
+  const auto n = static_cast<std::size_t>(tree.num_nodes());
+  DMF_REQUIRE(order.topdown.size() == n, "LcaIndex: order size mismatch");
+  depth_.assign(order.depth.begin(), order.depth.end());
+  levels_ = 1;
+  while ((1 << levels_) <= order.height + 1) ++levels_;
+  const auto levels = static_cast<std::size_t>(levels_);
+  up_.resize(n * levels);
+  // Top-down, so every ancestor's row is complete before it is read.
+  for (const NodeId v : order.topdown) {
+    NodeId* row = up_.data() + static_cast<std::size_t>(v) * levels;
+    row[0] = tree.parent[static_cast<std::size_t>(v)];
+    for (std::size_t k = 1; k < levels; ++k) {
+      const NodeId mid = row[k - 1];
+      row[k] = mid == kInvalidNode
+                   ? kInvalidNode
+                   : up_[static_cast<std::size_t>(mid) * levels + k - 1];
     }
   }
-  if (u == v) return u;
-  for (int k = levels_ - 1; k >= 0; --k) {
-    const NodeId nu =
-        up_[static_cast<std::size_t>(k)][static_cast<std::size_t>(u)];
-    const NodeId nv =
-        up_[static_cast<std::size_t>(k)][static_cast<std::size_t>(v)];
-    if (nu != nv) {
-      u = nu;
-      v = nv;
-    }
-  }
-  return up_[0][static_cast<std::size_t>(u)];
 }
 
 namespace {
@@ -160,20 +167,21 @@ std::vector<double> loads_from_contributions(const Graph& g,
   const auto n = static_cast<std::size_t>(tree.num_nodes());
   DMF_REQUIRE(static_cast<std::size_t>(g.num_nodes()) == n,
               "tree_edge_loads: node count mismatch");
-  const LcaIndex lca(tree);
+  const TreeOrder order = tree_order(tree);
+  const LcaIndex lca(tree, order);
   // For edge {u,v} with capacity c: +c at u, +c at v, -2c at lca(u,v).
   // Subtree sums then yield, for each node w, the capacity of graph edges
   // with exactly one endpoint inside subtree(w).
-  std::vector<double> contribution(n, 0.0);
+  std::vector<double> loads(n, 0.0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (mask != nullptr && !(*mask)[static_cast<std::size_t>(e)]) continue;
     const EdgeEndpoints ep = g.endpoints(e);
     const double c = g.capacity(e);
-    contribution[static_cast<std::size_t>(ep.u)] += c;
-    contribution[static_cast<std::size_t>(ep.v)] += c;
-    contribution[static_cast<std::size_t>(lca.lca(ep.u, ep.v))] -= 2.0 * c;
+    loads[static_cast<std::size_t>(ep.u)] += c;
+    loads[static_cast<std::size_t>(ep.v)] += c;
+    loads[static_cast<std::size_t>(lca.lca(ep.u, ep.v))] -= 2.0 * c;
   }
-  std::vector<double> loads = subtree_sums(tree, contribution);
+  accumulate_subtree_sums(tree, order, loads);
   loads[static_cast<std::size_t>(tree.root)] = 0.0;
   // Clamp tiny negative values caused by floating-point cancellation.
   for (double& x : loads) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -43,15 +44,24 @@ struct RootedTree {
 // Construct a RootedTree from parent pointers with unit capacities.
 RootedTree make_tree(NodeId root, std::vector<NodeId> parent);
 
-// Nodes ordered root-first so that parents precede children (BFS order).
-// Also the depth of every node. Throws if the parent structure is cyclic.
+// Nodes ordered root-first so that parents precede children (BFS order),
+// the depth of every node, and the children of every node in flat CSR
+// form. Throws if the parent structure is cyclic. One order serves every
+// pass over a tree (LCA index, subtree sums, j-tree components).
 struct TreeOrder {
   std::vector<NodeId> topdown;  // parents before children
   std::vector<int> depth;
   int height = 0;
+  // The children of v, in increasing id order, are
+  // children[child_offset[v]] .. children[child_offset[v + 1] - 1].
+  std::vector<int> child_offset;  // n + 1 entries
+  std::vector<NodeId> children;   // n - 1 entries
 };
 
 TreeOrder tree_order(const RootedTree& tree);
+
+// Same, reusing `order`'s storage (no allocation once it has grown).
+void tree_order(const RootedTree& tree, TreeOrder& order);
 
 // Children adjacency of the tree.
 std::vector<std::vector<NodeId>> tree_children(const RootedTree& tree);
@@ -60,26 +70,60 @@ std::vector<std::vector<NodeId>> tree_children(const RootedTree& tree);
 std::vector<double> subtree_sums(const RootedTree& tree,
                                  const std::vector<double>& values);
 
+// In place over a precomputed order: values[v] becomes the sum over
+// subtree(v). Children are folded into parents in reverse top-down order.
+void accumulate_subtree_sums(const RootedTree& tree, const TreeOrder& order,
+                             std::vector<double>& values);
+
 // Route a demand vector b (sum zero not required; any excess ends at the
 // root) on the tree: flow[v] is the signed flow on link v->parent(v),
 // positive toward the parent. flow[v] = sum of b over subtree(v).
 std::vector<double> route_demand_on_tree(const RootedTree& tree,
                                          const std::vector<double>& demand);
 
-// Binary-lifting LCA index over a rooted tree.
+// Binary-lifting LCA index over a rooted tree, stored flat and node-major
+// (the 2^k-th ancestors of v are contiguous).
 class LcaIndex {
  public:
+  LcaIndex() = default;
   explicit LcaIndex(const RootedTree& tree);
+  LcaIndex(const RootedTree& tree, const TreeOrder& order);
 
-  [[nodiscard]] NodeId lca(NodeId u, NodeId v) const;
+  // (Re)builds over `tree`, reusing this index's storage.
+  void build(const RootedTree& tree, const TreeOrder& order);
+
+  // Inline: the load kernels call it once per graph edge.
+  [[nodiscard]] NodeId lca(NodeId u, NodeId v) const {
+    DMF_ASSERT(u >= 0 && v >= 0, "lca: bad nodes");
+    if (depth(u) < depth(v)) std::swap(u, v);
+    int diff = depth(u) - depth(v);
+    for (int k = 0; diff > 0; ++k, diff >>= 1) {
+      if (diff & 1) u = up(u, k);
+    }
+    if (u == v) return u;
+    for (int k = levels_ - 1; k >= 0; --k) {
+      const NodeId nu = up(u, k);
+      const NodeId nv = up(v, k);
+      if (nu != nv) {
+        u = nu;
+        v = nv;
+      }
+    }
+    return up(u, 0);
+  }
   [[nodiscard]] int depth(NodeId v) const {
     return depth_[static_cast<std::size_t>(v)];
   }
 
  private:
+  [[nodiscard]] NodeId up(NodeId v, int k) const {
+    return up_[static_cast<std::size_t>(v) * static_cast<std::size_t>(levels_) +
+               static_cast<std::size_t>(k)];
+  }
+
   int levels_ = 1;
   std::vector<int> depth_;
-  std::vector<std::vector<NodeId>> up_;  // up_[k][v] = 2^k-th ancestor
+  std::vector<NodeId> up_;  // up_[v * levels_ + k] = 2^k-th ancestor of v
 };
 
 // For every non-root node v, the total capacity of graph edges with exactly

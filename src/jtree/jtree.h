@@ -25,6 +25,7 @@
 // suite and bench E10 verify the measured embedding congestion.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/multigraph.h"
@@ -71,20 +72,61 @@ struct JTree {
   std::vector<double> tree_rload;
 };
 
-// `tree` must be a spanning tree of g (e.g. from akpw_low_stretch_tree,
-// via tree_from_multigraph_edges over g's node space) whose parent_edge
-// entries index g's edges... NOTE: here parent_edge must store the
-// *multigraph edge index* (not base edge); use build_rooted_tree_mg below.
-// cluster_size[v] is the number of base-graph nodes represented by v
-// (all 1 at level 0).
+// `tree` must be a spanning tree of g whose parent_edge entries store
+// *multigraph edge indices* of g (not base edges): build it with
+// tree_from_multigraph_edges(..., TreeLinkId::kMultigraphEdge) from an
+// akpw_low_stretch_tree result. cluster_size[v] is the number of
+// base-graph nodes represented by v (all 1 at level 0).
 JTree build_jtree(const Multigraph& g, const RootedTree& tree,
                   const std::vector<double>& cluster_size,
                   const JTreeOptions& options, Rng& rng);
 
-// Rooted tree over g's node space from multigraph edge indices, where
-// parent_edge stores the multigraph edge index (needed by build_jtree).
-RootedTree build_rooted_tree_mg(const Multigraph& g,
-                                const std::vector<std::size_t>& edges,
-                                NodeId root);
+// build_jtree in two phases. The shape phase makes every decision and
+// every random draw: loads, F', the random cut set R, the skeleton, the
+// portals and D. Materialization draws nothing; it re-roots the forest
+// at the portals and emits the core edges. The hierarchy draws several
+// candidate j-trees per level but keeps one, so it decides the pick (and
+// the R-free fallback) on shapes and materializes only the kept one.
+struct JTreeShape {
+  TreeOrder order;            // of the input tree
+  std::vector<double> loads;  // capT of each link, by child node; 0 at root
+  std::vector<double> rload;  // relative load of each link, by child node
+  double max_rload = 0.0;
+  std::vector<char> cut;      // F = F' u R, by child node
+  std::vector<char> d_cut;    // D, by child node
+  std::vector<char> is_portal;
+  bool any_cut = false;
+  int portal_count = 0;
+  std::size_t f_prime_size = 0;
+  std::size_t random_cut_size = 0;
+  std::size_t d_size = 0;
+};
+
+// Scratch shared by both phases; reused across calls.
+struct JTreeWorkspace {
+  LcaIndex lca;
+  std::vector<int> cls;
+  std::vector<std::int64_t> class_count;
+  std::vector<char> p1;
+  std::vector<char> stripped;
+  std::vector<char> link_visited;
+  std::vector<int> deg;
+  std::vector<NodeId> queue;
+  std::vector<int> comp_tf;
+  std::vector<int> comp_final;
+  std::vector<NodeId> comp_portal;
+  std::vector<int> fdepth;
+  std::vector<char> is_forest_link;
+};
+
+void build_jtree_shape(const Multigraph& g, const RootedTree& tree,
+                       const std::vector<double>& cluster_size,
+                       const JTreeOptions& options, Rng& rng,
+                       JTreeShape& shape, JTreeWorkspace& ws);
+
+// `out` is overwritten (its storage is reused).
+void materialize_jtree(const Multigraph& g, const RootedTree& tree,
+                       const JTreeShape& shape, JTree& out,
+                       JTreeWorkspace& ws);
 
 }  // namespace dmf

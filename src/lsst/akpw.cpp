@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <queue>
+#include <limits>
+#include <utility>
 
 namespace dmf {
 
@@ -17,24 +17,46 @@ double akpw_default_z(NodeId num_nodes) {
 
 namespace {
 
-// Weight class of an edge: floor(log_z(length / min_length)).
-std::vector<int> edge_classes(const Multigraph& g, double z, int* num_classes) {
+// Weight class of one edge: floor(log_z(ratio)) for ratio = length /
+// min_length >= 1. A ratio below z * (1 - 1e-6) is class 0 without a
+// logarithm: there log(ratio) / log(z) < 1 - 1e-6 / log(z) < 1 - 1e-9
+// (log z < 710 for any finite z), far from the 1 - 1e-12 the formula
+// needs to reach class 1.
+int edge_class(double ratio, double z, double log_z) {
+  if (ratio <= z * (1.0 - 1e-6)) return 0;
+  return std::max(0, static_cast<int>(std::floor(std::log(ratio) / log_z +
+                                                 1e-12)));
+}
+
+// Weight class of every current edge. Edges keep their input lengths
+// through contraction, so while the minimum length is unchanged every
+// surviving edge keeps its class; classes are recomputed only when the
+// minimum moves.
+int edge_classes(AkpwWorkspace& ws, double z, double* class_min_len) {
+  const Multigraph& g = ws.current;
   double min_len = std::numeric_limits<double>::infinity();
   for (const MultiEdge& e : g.edges()) min_len = std::min(min_len, e.length);
   DMF_REQUIRE(min_len > 0.0 && std::isfinite(min_len),
               "akpw: lengths must be positive");
-  std::vector<int> cls(g.num_edges(), 0);
+  ws.cls.resize(g.num_edges());
   int top = 0;
-  const double log_z = std::log(z);
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    const double ratio = g.edge(i).length / min_len;
-    const int c = std::max(0, static_cast<int>(std::floor(
-                                  std::log(ratio) / log_z + 1e-12)));
-    cls[i] = c;
-    top = std::max(top, c);
+  if (min_len != *class_min_len) {
+    const double log_z = std::log(z);
+    for (std::size_t i = 0; i < g.num_edges(); ++i) {
+      const int c = edge_class(g.edge(i).length / min_len, z, log_z);
+      ws.cls[i] = c;
+      ws.input_cls[static_cast<std::size_t>(g.edge(i).tag)] = c;
+      top = std::max(top, c);
+    }
+    *class_min_len = min_len;
+  } else {
+    for (std::size_t i = 0; i < g.num_edges(); ++i) {
+      const int c = ws.input_cls[static_cast<std::size_t>(g.edge(i).tag)];
+      ws.cls[i] = c;
+      top = std::max(top, c);
+    }
   }
-  *num_classes = top + 1;
-  return cls;
+  return top + 1;
 }
 
 }  // namespace
@@ -42,20 +64,34 @@ std::vector<int> edge_classes(const Multigraph& g, double z, int* num_classes) {
 LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
                                            const AkpwOptions& options,
                                            Rng& rng) {
-  LowStretchTreeResult result;
+  AkpwWorkspace ws;
+  return akpw_low_stretch_tree(g, options, rng, ws);
+}
+
+const LowStretchTreeResult& akpw_low_stretch_tree(const Multigraph& g,
+                                                  const AkpwOptions& options,
+                                                  Rng& rng, AkpwWorkspace& ws) {
+  LowStretchTreeResult& result = ws.result;
+  result.tree_edges.clear();
+  result.iterations = 0;
+  result.partition_attempts = 0;
+  result.bfs_rounds = 0.0;
   if (g.num_nodes() <= 1) return result;
-  DMF_REQUIRE(g.is_connected(), "akpw: input multigraph must be connected");
+  DMF_REQUIRE(g.is_connected(ws.connectivity),
+              "akpw: input multigraph must be connected");
 
   const double z = options.z > 0.0 ? options.z : akpw_default_z(g.num_nodes());
   double rho = std::max(1.0, options.rho_factor * z);
 
-  // Working copy with tags pointing at input edge indices.
-  Multigraph current(g.num_nodes());
-  for (std::size_t i = 0; i < g.num_edges(); ++i) {
-    MultiEdge e = g.edge(i);
-    e.tag = static_cast<std::int64_t>(i);
-    current.add_edge(e);
+  // Working copy with tags pointing at input edge indices (g's edges were
+  // validated when they were added).
+  Multigraph& current = ws.current;
+  current = g;
+  for (std::size_t i = 0; i < current.num_edges(); ++i) {
+    current.edge_mutable(i).tag = static_cast<std::int64_t>(i);
   }
+  ws.input_cls.resize(g.num_edges());
+  double class_min_len = std::numeric_limits<double>::quiet_NaN();
 
   int num_classes = 1;
   int class_level = 1;  // iteration j admits classes 0 .. j-1
@@ -66,9 +102,11 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
                 "akpw: iteration limit exceeded");
     ++result.iterations;
 
-    const std::vector<int> cls = edge_classes(current, z, &num_classes);
+    num_classes = edge_classes(ws, z, &class_min_len);
+    const std::vector<int>& cls = ws.cls;
     class_level = std::min(class_level, num_classes);
-    std::vector<char> allowed(current.num_edges(), 0);
+    std::vector<char>& allowed = ws.allowed;
+    allowed.assign(current.num_edges(), 0);
     std::size_t allowed_count = 0;
     for (std::size_t i = 0; i < current.num_edges(); ++i) {
       if (cls[i] < class_level) {
@@ -84,8 +122,9 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
 
     PartitionOptions popt = options.partition;
     popt.rho = rho;
-    const PartitionResult part =
-        partition(current, allowed, cls, num_classes, popt, rng);
+    partition(current, allowed, cls, num_classes, popt, rng, ws.partition,
+              ws.part);
+    const PartitionResult& part = ws.part;
     result.partition_attempts += part.attempts;
     result.bfs_rounds += part.rounds;
 
@@ -101,13 +140,13 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
 
     // Contract clusters.
     const NodeId new_n = static_cast<NodeId>(part.split.count);
-    std::vector<NodeId> mapping(static_cast<std::size_t>(current.num_nodes()));
+    ws.mapping.resize(static_cast<std::size_t>(current.num_nodes()));
     for (NodeId v = 0; v < current.num_nodes(); ++v) {
-      mapping[static_cast<std::size_t>(v)] =
+      ws.mapping[static_cast<std::size_t>(v)] =
           static_cast<NodeId>(part.split.cluster[static_cast<std::size_t>(v)]);
     }
     const NodeId before = current.num_nodes();
-    current = current.contract(mapping, new_n);
+    current.contract_in_place(ws.mapping, new_n);
 
     if (current.num_nodes() == before) {
       ++stagnation;
@@ -129,78 +168,66 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
 
 RootedTree tree_from_multigraph_edges(const Multigraph& g,
                                       const std::vector<std::size_t>& edges,
-                                      NodeId root) {
+                                      NodeId root, TreeLinkId link_id) {
+  RootedTree tree;
+  MultiAdjacency adjacency;
+  std::vector<NodeId> queue;
+  tree_from_multigraph_edges(g, edges, root, link_id, tree, adjacency, queue);
+  return tree;
+}
+
+void tree_from_multigraph_edges(const Multigraph& g,
+                                const std::vector<std::size_t>& edges,
+                                NodeId root, TreeLinkId link_id,
+                                RootedTree& tree, MultiAdjacency& adjacency,
+                                std::vector<NodeId>& queue) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   DMF_REQUIRE(root >= 0 && static_cast<std::size_t>(root) < n,
               "tree_from_multigraph_edges: bad root");
-  const MultiAdjacency adj(g.num_nodes(), g, edges);
-  RootedTree tree;
+  adjacency.assign(g.num_nodes(), g, edges);
   tree.root = root;
   tree.parent.assign(n, kInvalidNode);
   tree.parent_cap.assign(n, 0.0);
   tree.parent_edge.assign(n, kInvalidEdge);
-  std::vector<char> seen(n, 0);
-  std::queue<NodeId> frontier;
-  seen[static_cast<std::size_t>(root)] = 1;
-  frontier.push(root);
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    for (const auto& [to, idx] : adj.row(v)) {
-      if (seen[static_cast<std::size_t>(to)]) continue;
-      seen[static_cast<std::size_t>(to)] = 1;
-      ++reached;
-      tree.parent[static_cast<std::size_t>(to)] = v;
-      tree.parent_cap[static_cast<std::size_t>(to)] = g.edge(idx).cap;
-      tree.parent_edge[static_cast<std::size_t>(to)] = g.edge(idx).base_edge;
-      frontier.push(to);
+  // BFS from the root; a node is reached once it has a parent.
+  queue.resize(n);
+  std::size_t tail = 0;
+  queue[tail++] = root;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId v = queue[head];
+    for (const auto& [to, idx] : adjacency.row(v)) {
+      const auto ti = static_cast<std::size_t>(to);
+      if (to == root || tree.parent[ti] != kInvalidNode) continue;
+      tree.parent[ti] = v;
+      tree.parent_cap[ti] = g.edge(idx).cap;
+      tree.parent_edge[ti] = link_id == TreeLinkId::kBaseEdge
+                                 ? g.edge(idx).base_edge
+                                 : static_cast<EdgeId>(idx);
+      queue[tail++] = to;
     }
   }
-  DMF_REQUIRE(reached == n,
+  DMF_REQUIRE(tail == n,
               "tree_from_multigraph_edges: edges do not span the graph");
-  return tree;
 }
 
 double average_stretch(const Multigraph& g,
                        const std::vector<std::size_t>& tree_edges) {
   DMF_REQUIRE(g.num_edges() > 0, "average_stretch: empty graph");
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  // Build the tree with per-link lengths.
-  const MultiAdjacency adj(g.num_nodes(), g, tree_edges);
-  RootedTree tree;
-  tree.root = 0;
-  tree.parent.assign(n, kInvalidNode);
-  tree.parent_cap.assign(n, 1.0);
-  tree.parent_edge.assign(n, kInvalidEdge);
-  std::vector<double> link_len(n, 0.0);
-  std::vector<char> seen(n, 0);
-  std::queue<NodeId> frontier;
-  seen[0] = 1;
-  frontier.push(0);
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    for (const auto& [to, idx] : adj.row(v)) {
-      if (seen[static_cast<std::size_t>(to)]) continue;
-      seen[static_cast<std::size_t>(to)] = 1;
-      tree.parent[static_cast<std::size_t>(to)] = v;
-      link_len[static_cast<std::size_t>(to)] = g.edge(idx).length;
-      frontier.push(to);
-    }
-  }
+  const RootedTree tree = tree_from_multigraph_edges(
+      g, tree_edges, 0, TreeLinkId::kMultigraphEdge);
   // Prefix distance from root.
   const TreeOrder order = tree_order(tree);
   std::vector<double> pref(n, 0.0);
   for (const NodeId v : order.topdown) {
-    const NodeId p = tree.parent[static_cast<std::size_t>(v)];
+    const auto vi = static_cast<std::size_t>(v);
+    const NodeId p = tree.parent[vi];
     if (p != kInvalidNode) {
-      pref[static_cast<std::size_t>(v)] =
-          pref[static_cast<std::size_t>(p)] +
-          link_len[static_cast<std::size_t>(v)];
+      pref[vi] = pref[static_cast<std::size_t>(p)] +
+                 g.edge(static_cast<std::size_t>(tree.parent_edge[vi])).length;
     }
   }
-  const LcaIndex lca(tree);
+  const LcaIndex lca(tree, order);
   double total = 0.0;
   for (const MultiEdge& e : g.edges()) {
     const NodeId meet = lca.lca(e.u, e.v);

@@ -58,11 +58,46 @@ LowStretchTreeResult akpw_low_stretch_tree(const Multigraph& g,
                                            const AkpwOptions& options,
                                            Rng& rng);
 
+// Scratch for the workspace form below; reused across calls, iterations
+// and partition attempts.
+struct AkpwWorkspace {
+  Multigraph current;  // the contracted working copy (tags = input edges)
+  std::vector<int> cls;        // weight class per current edge
+  std::vector<int> input_cls;  // weight class per input edge, by tag
+  std::vector<char> allowed;
+  std::vector<NodeId> mapping;
+  std::vector<NodeId> connectivity;
+  PartitionWorkspace partition;
+  PartitionResult part;
+  LowStretchTreeResult result;
+};
+
+// Workspace form: same draws and result as akpw_low_stretch_tree; the
+// result lives in ws.result until the next call.
+const LowStretchTreeResult& akpw_low_stretch_tree(const Multigraph& g,
+                                                  const AkpwOptions& options,
+                                                  Rng& rng, AkpwWorkspace& ws);
+
+// Which edge id a rooted tree built from multigraph edges stores in
+// parent_edge.
+enum class TreeLinkId {
+  kBaseEdge,        // MultiEdge::base_edge, an edge of the base graph
+  kMultigraphEdge,  // the index into g's edge list (what build_jtree needs)
+};
+
 // Build a rooted tree over g's node space from tree edge indices.
-// parent_cap is the multigraph edge capacity; parent_edge the base edge.
-RootedTree tree_from_multigraph_edges(const Multigraph& g,
-                                      const std::vector<std::size_t>& edges,
-                                      NodeId root);
+// parent_cap is the multigraph edge capacity; parent_edge is chosen by
+// link_id.
+RootedTree tree_from_multigraph_edges(
+    const Multigraph& g, const std::vector<std::size_t>& edges, NodeId root,
+    TreeLinkId link_id = TreeLinkId::kBaseEdge);
+
+// Workspace form: writes `tree`, with `adjacency` and `queue` as scratch.
+void tree_from_multigraph_edges(const Multigraph& g,
+                                const std::vector<std::size_t>& edges,
+                                NodeId root, TreeLinkId link_id,
+                                RootedTree& tree, MultiAdjacency& adjacency,
+                                std::vector<NodeId>& queue);
 
 // Average stretch of the tree w.r.t. g's lengths:
 //   (1/m) * sum_e dT(u_e, v_e) / length(e).

@@ -8,6 +8,7 @@
 // best attempt as a deterministic fallback.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lsst/split_graph.h"
@@ -36,5 +37,21 @@ PartitionResult partition(const Multigraph& g,
                           const std::vector<char>& edge_allowed,
                           const std::vector<int>& edge_class, int num_classes,
                           const PartitionOptions& options, Rng& rng);
+
+// Scratch for the workspace form below; reused across calls.
+struct PartitionWorkspace {
+  MultiAdjacency allowed_adjacency;  // built once per call, shared by retries
+  SplitWorkspace split;
+  SplitResult attempt;
+  std::vector<std::int64_t> total;
+  std::vector<std::int64_t> cut;
+};
+
+// Workspace form: same draws and result as partition(); `out` is
+// overwritten.
+void partition(const Multigraph& g, const std::vector<char>& edge_allowed,
+               const std::vector<int>& edge_class, int num_classes,
+               const PartitionOptions& options, Rng& rng,
+               PartitionWorkspace& ws, PartitionResult& out);
 
 }  // namespace dmf

@@ -2,23 +2,56 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <tuple>
 
 namespace dmf {
 
 namespace {
 
-struct Arrival {
-  int time = 0;
-  int source_rank = 0;  // index into this stage's source list (ties by id)
-  NodeId node = kInvalidNode;
+using Arrival = SplitWorkspace::Arrival;
 
-  bool operator>(const Arrival& other) const {
-    return std::tie(time, source_rank) >
-           std::tie(other.time, other.source_rank);
+// A binary min-heap on Arrival::key that takes exactly the steps of
+// libstdc++'s std::push_heap / std::pop_heap with std::greater (the
+// std::priority_queue this decomposition was defined with). Arrivals with
+// equal keys but different nodes are common, and the order they pop in
+// decides BFS parents, so the step sequence is part of the result; only
+// the child choice is made branch-free.
+void sift_up(std::vector<Arrival>& heap, std::size_t hole, Arrival value) {
+  Arrival* h = heap.data();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!(h[parent].key > value.key)) break;
+    h[hole] = h[parent];
+    hole = parent;
   }
-};
+  h[hole] = value;
+}
+
+Arrival pop_min(std::vector<Arrival>& heap) {
+  Arrival* h = heap.data();
+  const Arrival top = h[0];
+  const std::size_t len = heap.size() - 1;  // heap size after the pop
+  if (len > 0) {
+    // Move the hole from the root down to a leaf along the smaller
+    // children, then sift the former last element up from there.
+    const Arrival value = h[len];
+    std::size_t hole = 0;
+    std::size_t child = 0;
+    while (child < (len - 1) / 2) {
+      child = 2 * (child + 1);
+      child -= static_cast<std::size_t>(h[child].key > h[child - 1].key);
+      h[hole] = h[child];
+      hole = child;
+    }
+    if ((len & 1) == 0 && child == (len - 2) / 2) {
+      child = 2 * (child + 1);
+      h[hole] = h[child - 1];
+      hole = child - 1;
+    }
+    sift_up(heap, hole, value);
+  }
+  heap.pop_back();
+  return top;
+}
 
 }  // namespace
 
@@ -27,27 +60,40 @@ SplitResult split_graph(const Multigraph& g,
                         Rng& rng) {
   DMF_REQUIRE(edge_allowed.size() == g.num_edges(),
               "split_graph: allowed mask size mismatch");
+  const MultiAdjacency adj(g, edge_allowed);
+  SplitWorkspace ws;
+  SplitResult result;
+  split_graph(g.num_nodes(), adj, rho, rng, ws, result);
+  return result;
+}
+
+void split_graph(NodeId num_nodes, const MultiAdjacency& adj, double rho,
+                 Rng& rng, SplitWorkspace& ws, SplitResult& result) {
   DMF_REQUIRE(rho >= 1.0, "split_graph: rho must be >= 1");
-  const NodeId n = g.num_nodes();
+  const NodeId n = num_nodes;
   const auto nn = static_cast<std::size_t>(n);
 
-  // Allowed-edge adjacency, flat (rebuilt per call — the mask changes
-  // every AKPW iteration).
-  const MultiAdjacency adj(g, edge_allowed);
-
-  SplitResult result;
   result.cluster.assign(nn, -1);
   result.parent.assign(nn, kInvalidNode);
   result.parent_edge.assign(nn, kNoMultiEdge);
+  result.count = 0;
+  result.rounds = 0.0;
 
   const int log_n = std::max(
       1, static_cast<int>(std::ceil(std::log2(std::max<NodeId>(2, n)))));
   const int stages = 2 * log_n;
   const int delay_cap = std::max(0, static_cast<int>(rho) / stages);
 
-  std::vector<NodeId> uncovered;
-  uncovered.reserve(nn);
-  for (NodeId v = 0; v < n; ++v) uncovered.push_back(v);
+  // Per-stage arrays start clear and are cleared again through `touched`
+  // after each stage, so a stage costs its own work, not O(n).
+  ws.best_time.assign(nn, -1);
+  ws.best_rank.assign(nn, -1);
+  ws.stage_cluster.assign(nn, -1);
+  ws.touched.clear();
+  // Ascending ids, compacted in place as nodes get covered.
+  std::vector<NodeId>& uncovered = ws.uncovered;
+  uncovered.resize(nn);
+  for (NodeId v = 0; v < n; ++v) uncovered[static_cast<std::size_t>(v)] = v;
 
   for (int t = 1; t <= stages && !uncovered.empty(); ++t) {
     // Budget for this stage.
@@ -64,59 +110,67 @@ SplitResult split_graph(const Multigraph& g,
         std::ceil(fraction * static_cast<double>(uncovered.size())));
     want = std::clamp<std::size_t>(want, 1, uncovered.size());
 
-    const std::vector<std::size_t> picks =
-        rng.sample_indices(uncovered.size(), want);
-    std::vector<NodeId> sources;
-    sources.reserve(picks.size());
-    for (const std::size_t i : picks) sources.push_back(uncovered[i]);
+    rng.sample_indices(uncovered.size(), want, ws.picks);
+    std::vector<NodeId>& sources = ws.sources;
+    sources.clear();
+    for (const std::size_t i : ws.picks) sources.push_back(uncovered[i]);
     std::sort(sources.begin(), sources.end());  // rank == id order
 
     // Multi-source unit-length Dijkstra with per-source delays; first
     // arrival (lexicographic (time, source rank)) claims a node.
-    std::priority_queue<Arrival, std::vector<Arrival>, std::greater<>> queue;
-    std::vector<int> best_time(nn, -1);
-    std::vector<int> best_rank(nn, -1);
-    std::vector<int> stage_cluster(nn, -1);
-
+    std::vector<Arrival>& heap = ws.heap;
+    const auto push = [&heap](const Arrival& a) {
+      heap.push_back(a);
+      sift_up(heap, heap.size() - 1, a);
+    };
+    heap.clear();
     for (std::size_t r = 0; r < sources.size(); ++r) {
       const int delay =
           std::min(static_cast<int>(rng.next_int(0, delay_cap)), budget);
-      queue.push({delay, static_cast<int>(r), sources[r]});
+      push({delay, static_cast<int>(r), sources[r]});
     }
-    while (!queue.empty()) {
-      const Arrival a = queue.top();
-      queue.pop();
+    int* best_time = ws.best_time.data();
+    int* best_rank = ws.best_rank.data();
+    int* stage_cluster = ws.stage_cluster.data();
+    const int* cluster = result.cluster.data();
+    while (!heap.empty()) {
+      const Arrival a = pop_min(heap);
       const auto vi = static_cast<std::size_t>(a.node);
-      if (stage_cluster[vi] != -1 || result.cluster[vi] != -1) continue;
-      if (a.time > budget) continue;
-      stage_cluster[vi] = a.source_rank;
-      best_time[vi] = a.time;
-      best_rank[vi] = a.source_rank;
+      if (stage_cluster[vi] != -1 || cluster[vi] != -1) continue;
+      const int time = a.time_step();
+      const int rank = a.source_rank();
+      if (time > budget) continue;
+      if (best_time[vi] == -1) ws.touched.push_back(a.node);
+      stage_cluster[vi] = rank;
+      best_time[vi] = time;
+      best_rank[vi] = rank;
       for (const auto& [to, edge] : adj.row(a.node)) {
         const auto ti = static_cast<std::size_t>(to);
-        if (stage_cluster[ti] != -1 || result.cluster[ti] != -1) continue;
+        if (stage_cluster[ti] != -1 || cluster[ti] != -1) continue;
         // Record the tree link on first improvement; the settled check
         // above guarantees the final parent matches the winning arrival.
-        const int ntime = a.time + 1;
+        const int ntime = time + 1;
         if (ntime > budget) continue;
         if (best_time[ti] == -1 || ntime < best_time[ti] ||
-            (ntime == best_time[ti] && a.source_rank < best_rank[ti])) {
+            (ntime == best_time[ti] && rank < best_rank[ti])) {
+          if (best_time[ti] == -1) ws.touched.push_back(to);
           best_time[ti] = ntime;
-          best_rank[ti] = a.source_rank;
+          best_rank[ti] = rank;
           result.parent[ti] = a.node;
           result.parent_edge[ti] = edge;
-          queue.push({ntime, a.source_rank, to});
+          push({ntime, rank, to});
         }
       }
     }
 
-    // Commit stage clusters with global ids.
-    std::vector<int> stage_to_global(sources.size(), -1);
-    for (NodeId v = 0; v < n; ++v) {
+    // Commit stage clusters with global ids, in increasing node id (only
+    // nodes uncovered at the stage start can have been claimed).
+    ws.stage_to_global.assign(sources.size(), -1);
+    for (const NodeId v : uncovered) {
       const auto vi = static_cast<std::size_t>(v);
       if (stage_cluster[vi] == -1) continue;
       auto& global =
-          stage_to_global[static_cast<std::size_t>(stage_cluster[vi])];
+          ws.stage_to_global[static_cast<std::size_t>(stage_cluster[vi])];
       if (global == -1) global = result.count++;
       result.cluster[vi] = global;
     }
@@ -136,12 +190,20 @@ SplitResult split_graph(const Multigraph& g,
         }
       }
     }
-    // Rebuild uncovered list.
-    std::vector<NodeId> still;
-    for (const NodeId v : uncovered) {
-      if (result.cluster[static_cast<std::size_t>(v)] == -1) still.push_back(v);
+    for (const NodeId v : ws.touched) {
+      const auto vi = static_cast<std::size_t>(v);
+      best_time[vi] = -1;
+      best_rank[vi] = -1;
+      stage_cluster[vi] = -1;
     }
-    uncovered.swap(still);
+    ws.touched.clear();
+    // Drop the covered nodes from the uncovered list.
+    uncovered.erase(std::remove_if(uncovered.begin(), uncovered.end(),
+                                   [&result](NodeId v) {
+                                     return result.cluster[static_cast<
+                                                std::size_t>(v)] != -1;
+                                   }),
+                    uncovered.end());
   }
 
   // Any stragglers (possible only if rho budgets truncate to 0) become
@@ -163,7 +225,6 @@ SplitResult split_graph(const Multigraph& g,
       result.parent_edge[vi] = kNoMultiEdge;
     }
   }
-  return result;
 }
 
 }  // namespace dmf

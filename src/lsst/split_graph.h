@@ -17,6 +17,7 @@
 // the round cost charged for a run is O(rho * log N) per stage set.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/multigraph.h"
@@ -43,5 +44,42 @@ struct SplitResult {
 SplitResult split_graph(const Multigraph& g,
                         const std::vector<char>& edge_allowed, double rho,
                         Rng& rng);
+
+// Scratch for the workspace form below; reused across calls and stages.
+struct SplitWorkspace {
+  // Heap entry ordered by (time, source rank), packed into one key so a
+  // comparison is one integer compare; both fields are non-negative.
+  // Ties on the key keep the heap's order (see split_graph.cpp).
+  struct Arrival {
+    std::uint64_t key = 0;
+    NodeId node = kInvalidNode;
+
+    Arrival(int time, int source_rank, NodeId v)
+        : key(static_cast<std::uint64_t>(static_cast<std::uint32_t>(time))
+                  << 32 |
+              static_cast<std::uint32_t>(source_rank)),
+          node(v) {}
+    [[nodiscard]] int time_step() const { return static_cast<int>(key >> 32); }
+    [[nodiscard]] int source_rank() const {
+      return static_cast<int>(key & 0xffffffffU);
+    }
+  };
+
+  std::vector<NodeId> uncovered;
+  std::vector<std::size_t> picks;
+  std::vector<NodeId> sources;
+  std::vector<Arrival> heap;  // binary min-heap on key
+  std::vector<int> best_time;
+  std::vector<int> best_rank;
+  std::vector<int> stage_cluster;
+  std::vector<NodeId> touched;  // nodes whose per-stage entries are set
+  std::vector<int> stage_to_global;
+};
+
+// Workspace form over a prebuilt adjacency of the allowed edges (callers
+// that split the same graph repeatedly build it once). Same draws and
+// same result as split_graph; `out` is overwritten.
+void split_graph(NodeId num_nodes, const MultiAdjacency& allowed_adjacency,
+                 double rho, Rng& rng, SplitWorkspace& ws, SplitResult& out);
 
 }  // namespace dmf

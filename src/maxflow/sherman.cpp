@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <numeric>
-
-#ifdef DMF_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 #include "baselines/tree_routing.h"
 #include "cluster/boruvka.h"
@@ -58,9 +53,10 @@ ShermanHierarchy::ShermanHierarchy(std::shared_ptr<const Graph> graph,
   DMF_REQUIRE(is_connected(*csr_), "ShermanHierarchy: graph must be connected");
   const int num_trees = resolved_num_trees(options, g.num_nodes());
   bucket_octaves_ = options.hierarchy.capacity_bucket_octaves;
+  const TreeSamplingBase base(g, *csr_);
   std::vector<std::uint64_t> seeds;
   std::vector<VirtualTreeSample> samples =
-      sample_virtual_trees(g, num_trees, options.hierarchy, rng, &seeds);
+      sample_virtual_trees(base, num_trees, options.hierarchy, rng, &seeds);
   tree_records_.resize(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     build_rounds_ += samples[i].rounds;
@@ -87,9 +83,9 @@ ShermanHierarchy::ShermanHierarchy(std::shared_ptr<const Graph> graph,
   mwst_ = boruvka_max_weight_tree(g, 0, &mst_rounds);
   build_rounds_ += mst_rounds;
   // Queries charge O(D) scalar rounds via this height; it never changes
-  // after the snapshot freezes, so pay the BFS once here instead of per
+  // after the snapshot freezes, so the sampling base's BFS serves every
   // route() call.
-  bfs_height_ = build_bfs_tree(*csr_, 0).height;
+  bfs_height_ = base.bfs_height();
 }
 
 HierarchyDirtySet hierarchy_dirty_set(const ShermanHierarchy& prev,
@@ -198,6 +194,7 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::repair(
   // equal to a from-scratch build). Rounds are structural-phase state:
   // recorded values are exact for clean trees.
   const NodeId n = g.num_nodes();
+  const TreeSamplingBase base(g, *out->csr_);
   std::vector<VirtualTreeSample> samples(count);
   std::vector<int> dirty_indices;
   for (std::size_t i = 0; i < count; ++i) {
@@ -219,33 +216,8 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::repair(
     }
     s.rounds = prev.tree_records()[i].rounds;
   }
-  const auto resample = [&](int i) {
-    Rng tree_rng(seeds[static_cast<std::size_t>(i)]);
-    samples[static_cast<std::size_t>(i)] =
-        sample_virtual_tree(g, options.hierarchy, tree_rng);
-  };
-  int threads = options.hierarchy.threads;
-#ifdef DMF_HAVE_OPENMP
-  if (threads <= 0) threads = omp_get_max_threads();
-  if (threads > 1 && dirty_indices.size() > 1) {
-    std::exception_ptr error;
-    const int dirty_count = static_cast<int>(dirty_indices.size());
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-    for (int k = 0; k < dirty_count; ++k) {
-      try {
-        resample(dirty_indices[static_cast<std::size_t>(k)]);
-      } catch (...) {
-#pragma omp critical
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    dirty_indices.clear();
-  }
-#else
-  (void)threads;
-#endif
-  for (const int i : dirty_indices) resample(i);
+  sample_trees_from_seeds(base, options.hierarchy, seeds, dirty_indices,
+                          samples);
 
   // From here the reconstruction mirrors the constructor line by line
   // (same order, same rng position after the `count` seed draws), so
@@ -283,7 +255,7 @@ std::shared_ptr<const ShermanHierarchy> ShermanHierarchy::repair(
   double mst_rounds = 0.0;
   out->mwst_ = boruvka_max_weight_tree(g, 0, &mst_rounds);
   out->build_rounds_ += mst_rounds;
-  out->bfs_height_ = build_bfs_tree(*out->csr_, 0).height;
+  out->bfs_height_ = base.bfs_height();
   return out;
 }
 

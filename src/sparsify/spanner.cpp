@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace dmf {
 
@@ -10,23 +9,49 @@ namespace {
 
 // (length, tag) lexicographic comparison for "lightest edge" with
 // deterministic tie-breaking.
-struct EdgeKey {
-  double length = 0.0;
-  std::int64_t tie = 0;
+bool lighter(const MultiEdge& a, const MultiEdge& b) {
+  if (a.length != b.length) return a.length < b.length;
+  return a.tag < b.tag;
+}
 
-  bool operator<(const EdgeKey& other) const {
-    if (length != other.length) return length < other.length;
-    return tie < other.tie;
+// Records, for every cluster adjacent to `v` (other than `own`; retired
+// neighbors skipped), the lightest edge into it: the first edge in row
+// order among equally light ones.
+void collect_lightest(const Multigraph& g, const MultiAdjacency& adjacency,
+                      NodeId v, NodeId own, SpannerWorkspace& ws) {
+  for (const auto& [to, idx] : adjacency.row(v)) {
+    const NodeId c = ws.cluster[static_cast<std::size_t>(to)];
+    if (c == kInvalidNode || c == own) continue;
+    std::size_t& slot = ws.light_edge[static_cast<std::size_t>(c)];
+    if (slot == kNoMultiEdge) {
+      slot = idx;
+      ws.adjacent.push_back(c);
+    } else if (lighter(g.edge(idx), g.edge(slot))) {
+      slot = idx;
+    }
   }
-};
+}
 
 }  // namespace
 
 SpannerResult baswana_sen_spanner(const Multigraph& g, int levels, Rng& rng) {
+  const MultiAdjacency adjacency(g);
+  SpannerWorkspace ws;
+  return baswana_sen_spanner(g, adjacency, levels, rng, ws);
+}
+
+const SpannerResult& baswana_sen_spanner(const Multigraph& g,
+                                         const MultiAdjacency& adjacency,
+                                         int levels, Rng& rng,
+                                         SpannerWorkspace& ws) {
   const NodeId n = g.num_nodes();
   const auto nn = static_cast<std::size_t>(n);
-  SpannerResult result;
-  if (n <= 1 || g.num_edges() == 0) return result;
+  SpannerResult& result = ws.result;
+  result.edges.clear();
+  result.rounds = 0.0;
+  std::size_t selected_edges = 0;
+  for (NodeId v = 0; v < n; ++v) selected_edges += adjacency.degree(v);
+  if (n <= 1 || selected_edges == 0) return result;
   if (levels <= 0) {
     levels = std::max(
         1, static_cast<int>(std::ceil(std::log2(static_cast<double>(n)))));
@@ -34,104 +59,91 @@ SpannerResult baswana_sen_spanner(const Multigraph& g, int levels, Rng& rng) {
 
   // cluster[v]: current cluster id (== a node id acting as center), or
   // kInvalidNode once v has retired.
-  std::vector<NodeId> cluster(nn);
+  std::vector<NodeId>& cluster = ws.cluster;
+  cluster.resize(nn);
   for (NodeId v = 0; v < n; ++v) cluster[static_cast<std::size_t>(v)] = v;
-
-  std::vector<char> edge_in_spanner(g.num_edges(), 0);
-  const auto add_edge = [&](std::size_t i) {
-    if (!edge_in_spanner[i]) {
-      edge_in_spanner[i] = 1;
-      result.edges.push_back(i);
+  ws.in_spanner.assign(g.num_edges(), 0);
+  ws.light_edge.assign(nn, kNoMultiEdge);
+  ws.adjacent.clear();
+  const auto keep = [&ws](std::size_t i) { ws.in_spanner[i] = 1; };
+  const auto clear_lightest = [&ws] {
+    for (const NodeId c : ws.adjacent) {
+      ws.light_edge[static_cast<std::size_t>(c)] = kNoMultiEdge;
     }
+    ws.adjacent.clear();
   };
-
-  const MultiAdjacency adjacency(g);  // flat, frozen for the whole run
 
   for (int level = 1; level <= levels; ++level) {
     result.rounds += 1.0;
-    // Sample surviving clusters with probability 1/2.
-    std::map<NodeId, char> marked;  // cluster id -> sampled?
+    // Sample surviving clusters with probability 1/2, drawing in order of
+    // each cluster's first member.
+    std::vector<signed char>& sampled = ws.sampled;
+    sampled.assign(nn, -1);
     for (NodeId v = 0; v < n; ++v) {
       const NodeId c = cluster[static_cast<std::size_t>(v)];
-      if (c != kInvalidNode && marked.find(c) == marked.end()) {
-        marked[c] = rng.next_bool(0.5) ? 1 : 0;
+      if (c != kInvalidNode && sampled[static_cast<std::size_t>(c)] < 0) {
+        sampled[static_cast<std::size_t>(c)] = rng.next_bool(0.5) ? 1 : 0;
       }
     }
 
-    std::vector<NodeId> next_cluster = cluster;
+    ws.next_cluster.assign(cluster.begin(), cluster.end());
     for (NodeId v = 0; v < n; ++v) {
       const auto vi = static_cast<std::size_t>(v);
       const NodeId own = cluster[vi];
-      if (own == kInvalidNode) continue;       // retired
-      if (marked.at(own)) continue;            // cluster survives as is
+      if (own == kInvalidNode) continue;                   // retired
+      if (sampled[static_cast<std::size_t>(own)]) continue;  // survives
       // v's cluster died: find the lightest edge to every adjacent
-      // cluster, and the lightest edge into a *sampled* cluster.
-      std::map<NodeId, std::pair<EdgeKey, std::size_t>> lightest;
-      for (const auto& [to, idx] : adjacency.row(v)) {
-        const NodeId c = cluster[static_cast<std::size_t>(to)];
-        if (c == kInvalidNode || c == own) continue;
-        const EdgeKey key{g.edge(idx).length, g.edge(idx).tag};
-        auto it = lightest.find(c);
-        if (it == lightest.end() || key < it->second.first) {
-          lightest[c] = {key, idx};
-        }
-      }
-      // Lightest edge into a sampled cluster, if any.
-      bool has_sampled = false;
-      EdgeKey best_key;
-      std::size_t best_edge = 0;
+      // cluster, and the lightest edge into a *sampled* cluster (ties to
+      // the smaller cluster id).
+      collect_lightest(g, adjacency, v, own, ws);
+      std::size_t best_edge = kNoMultiEdge;
       NodeId best_cluster = kInvalidNode;
-      for (const auto& [c, entry] : lightest) {
-        if (!marked.at(c)) continue;
-        if (!has_sampled || entry.first < best_key) {
-          has_sampled = true;
-          best_key = entry.first;
-          best_edge = entry.second;
+      for (const NodeId c : ws.adjacent) {
+        if (!sampled[static_cast<std::size_t>(c)]) continue;
+        const std::size_t e = ws.light_edge[static_cast<std::size_t>(c)];
+        const bool better = best_edge == kNoMultiEdge ||
+                            lighter(g.edge(e), g.edge(best_edge)) ||
+                            (!lighter(g.edge(best_edge), g.edge(e)) &&
+                             c < best_cluster);
+        if (better) {
+          best_edge = e;
           best_cluster = c;
         }
       }
-      if (!has_sampled) {
+      if (best_edge == kNoMultiEdge) {
         // Keep the lightest edge to every adjacent cluster and retire.
-        for (const auto& [c, entry] : lightest) {
-          (void)c;
-          add_edge(entry.second);
+        for (const NodeId c : ws.adjacent) {
+          keep(ws.light_edge[static_cast<std::size_t>(c)]);
         }
-        next_cluster[vi] = kInvalidNode;
+        ws.next_cluster[vi] = kInvalidNode;
       } else {
         // Join the closest sampled cluster; keep strictly lighter edges.
-        add_edge(best_edge);
-        next_cluster[vi] = best_cluster;
-        for (const auto& [c, entry] : lightest) {
-          (void)c;
-          if (entry.first < best_key) add_edge(entry.second);
+        keep(best_edge);
+        ws.next_cluster[vi] = best_cluster;
+        for (const NodeId c : ws.adjacent) {
+          const std::size_t e = ws.light_edge[static_cast<std::size_t>(c)];
+          if (lighter(g.edge(e), g.edge(best_edge))) keep(e);
         }
       }
+      clear_lightest();
     }
-    cluster.swap(next_cluster);
+    cluster.swap(ws.next_cluster);
   }
 
   // Final step: every surviving node keeps the lightest edge to each
   // adjacent (distinct) cluster.
   result.rounds += 1.0;
   for (NodeId v = 0; v < n; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    std::map<NodeId, std::pair<EdgeKey, std::size_t>> lightest;
-    for (const auto& [to, idx] : adjacency.row(v)) {
-      const NodeId c = cluster[static_cast<std::size_t>(to)];
-      const NodeId own = cluster[vi];
-      if (c == kInvalidNode || (own != kInvalidNode && c == own)) continue;
-      const EdgeKey key{g.edge(idx).length, g.edge(idx).tag};
-      auto it = lightest.find(c);
-      if (it == lightest.end() || key < it->second.first) {
-        lightest[c] = {key, idx};
-      }
+    collect_lightest(g, adjacency, v, cluster[static_cast<std::size_t>(v)],
+                     ws);
+    for (const NodeId c : ws.adjacent) {
+      keep(ws.light_edge[static_cast<std::size_t>(c)]);
     }
-    for (const auto& [c, entry] : lightest) {
-      (void)c;
-      add_edge(entry.second);
-    }
+    clear_lightest();
   }
-  std::sort(result.edges.begin(), result.edges.end());
+  for (std::size_t i = 0; i < g.num_edges(); ++i) {
+    if (ws.in_spanner[i]) result.edges.push_back(i);
+  }
   return result;
 }
 

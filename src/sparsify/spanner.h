@@ -30,4 +30,25 @@ struct SpannerResult {
 // levels <= 0 selects ceil(log2 N).
 SpannerResult baswana_sen_spanner(const Multigraph& g, int levels, Rng& rng);
 
+// Scratch for the workspace form below; reused across calls and levels.
+struct SpannerWorkspace {
+  std::vector<NodeId> cluster;
+  std::vector<NodeId> next_cluster;
+  std::vector<signed char> sampled;  // per cluster id: -1 undrawn, 0, 1
+  // Lightest edge from the current node into each adjacent cluster.
+  std::vector<std::size_t> light_edge;  // kNoMultiEdge when none yet
+  std::vector<NodeId> adjacent;         // clusters with a light_edge set
+  std::vector<char> in_spanner;         // per edge of g
+  SpannerResult result;
+};
+
+// Workspace form over the edges `adjacency` lists (all of g's edges, or a
+// subset of them): the spanner of that subgraph, reported as indices into
+// g, in increasing order. Same draws and result as baswana_sen_spanner on
+// the subgraph; the result lives in ws.result until the next call.
+const SpannerResult& baswana_sen_spanner(const Multigraph& g,
+                                         const MultiAdjacency& adjacency,
+                                         int levels, Rng& rng,
+                                         SpannerWorkspace& ws);
+
 }  // namespace dmf

@@ -2,16 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "sparsify/spanner.h"
+#include <utility>
 
 namespace dmf {
 
 SparsifyResult sparsify(const Multigraph& g, const SparsifierOptions& options,
                         Rng& rng) {
+  SparsifyWorkspace ws;
+  return std::move(sparsify(g, options, rng, ws));
+}
+
+SparsifyResult& sparsify(const Multigraph& g, const SparsifierOptions& options,
+                         Rng& rng, SparsifyWorkspace& ws) {
   const NodeId n = g.num_nodes();
-  SparsifyResult result;
-  result.graph = Multigraph(n);
+  SparsifyResult& result = ws.result;
+  result.graph.reset(n);
+  result.iterations = 0;
+  result.rounds = 0.0;
 
   int bundle = options.bundle_size;
   if (bundle <= 0) {
@@ -24,50 +31,44 @@ SparsifyResult sparsify(const Multigraph& g, const SparsifierOptions& options,
       target_degree * static_cast<double>(std::max<NodeId>(1, n));
 
   // Working pool of edges still subject to sampling.
-  Multigraph pool = g;
+  Multigraph& pool = ws.pool;
+  pool = g;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (static_cast<double>(pool.num_edges()) <= target_edges) break;
     ++result.iterations;
 
     // --- Peel a bundle of spanners; bundle edges are kept verbatim. ---
-    std::vector<char> in_bundle(pool.num_edges(), 0);
+    // Each spanner runs on the pool edges not yet in the bundle.
+    std::vector<char>& outside = ws.outside_bundle;
+    outside.assign(pool.num_edges(), 1);
     std::size_t remaining = pool.num_edges();
     for (int b = 0; b < bundle && remaining > 0; ++b) {
-      // Build the residual pool (edges not yet in the bundle).
-      Multigraph residual(n);
-      std::vector<std::size_t> back_map;
-      back_map.reserve(remaining);
-      for (std::size_t i = 0; i < pool.num_edges(); ++i) {
-        if (!in_bundle[i]) {
-          residual.add_edge(pool.edge(i));
-          back_map.push_back(i);
-        }
-      }
-      if (residual.num_edges() == 0) break;
-      const SpannerResult spanner = baswana_sen_spanner(residual, 0, rng);
+      ws.residual.assign(pool, outside);
+      const SpannerResult& spanner =
+          baswana_sen_spanner(pool, ws.residual, 0, rng, ws.spanner);
       result.rounds += spanner.rounds;
-      for (const std::size_t ri : spanner.edges) {
-        in_bundle[back_map[ri]] = 1;
+      for (const std::size_t i : spanner.edges) {
+        outside[i] = 0;
         --remaining;
       }
     }
 
     // Bundle edges go to the output; the rest are subsampled at 1/4 with
-    // quadrupled weight and stay in the pool.
-    Multigraph next_pool(n);
+    // quadrupled weight and stay in the pool (compacted in place).
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < pool.num_edges(); ++i) {
-      const MultiEdge& e = pool.edge(i);
-      if (in_bundle[i]) {
+      const MultiEdge e = pool.edge(i);
+      if (!outside[i]) {
         result.graph.add_edge(e);
       } else if (rng.next_bool(0.25)) {
         MultiEdge scaled = e;
         scaled.cap *= 4.0;
         scaled.length = 1.0 / scaled.cap;
-        next_pool.add_edge(scaled);
+        pool.set_edge(kept++, scaled);
       }
     }
-    pool = std::move(next_pool);
+    pool.truncate(kept);
   }
 
   // Whatever survives the loop is kept as is.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/multigraph.h"
+#include "sparsify/spanner.h"
 #include "util/rng.h"
 
 namespace dmf {
@@ -40,6 +41,20 @@ struct SparsifyResult {
 
 SparsifyResult sparsify(const Multigraph& g, const SparsifierOptions& options,
                         Rng& rng);
+
+// Scratch for the workspace form below; reused across calls.
+struct SparsifyWorkspace {
+  Multigraph pool;  // edges still subject to sampling
+  std::vector<char> outside_bundle;  // per pool edge
+  MultiAdjacency residual;           // pool edges outside the bundle
+  SpannerWorkspace spanner;
+  SparsifyResult result;
+};
+
+// Workspace form: same draws and result as sparsify(); the result lives
+// in ws.result until the next call (callers may swap its graph out).
+SparsifyResult& sparsify(const Multigraph& g, const SparsifierOptions& options,
+                         Rng& rng, SparsifyWorkspace& ws);
 
 // Total capacity of the cut (S, V \ S) in g; `side[v]` != 0 iff v in S.
 double cut_capacity(const Multigraph& g, const std::vector<char>& side);

@@ -98,15 +98,22 @@ class Rng {
 
   // Sample k distinct indices from [0, n) (k <= n), in random order.
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k) {
+    std::vector<std::size_t> out;
+    sample_indices(n, k, out);
+    return out;
+  }
+
+  // Same draws, written into `out` (its storage is reused).
+  void sample_indices(std::size_t n, std::size_t k,
+                      std::vector<std::size_t>& out) {
     DMF_REQUIRE(k <= n, "sample_indices: k > n");
-    std::vector<std::size_t> all(n);
-    for (std::size_t i = 0; i < n; ++i) all[i] = i;
+    out.resize(n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = i;
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t j = i + next_below(n - i);
-      std::swap(all[i], all[j]);
+      std::swap(out[i], out[j]);
     }
-    all.resize(k);
-    return all;
+    out.resize(k);
   }
 
  private:

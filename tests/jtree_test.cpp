@@ -24,7 +24,8 @@ JTree build_for(const Graph& g, int j, double sqrt_target, Rng& rng,
   Multigraph mg = lift(g);
   const LowStretchTreeResult lsst =
       akpw_low_stretch_tree(mg, AkpwOptions{}, rng);
-  const RootedTree tree = build_rooted_tree_mg(mg, lsst.tree_edges, 0);
+  const RootedTree tree = tree_from_multigraph_edges(
+      mg, lsst.tree_edges, 0, TreeLinkId::kMultigraphEdge);
   const std::vector<double> sizes(static_cast<std::size_t>(mg.num_nodes()),
                                   1.0);
   JTreeOptions options;

@@ -8,13 +8,15 @@
 //
 // Usage:
 //   dmf-serve [--port N] [--binary-port N] [--grid WxH | --gnp N P]
-//             [--trees K] [--threads T] [--shards K] [--max-in-flight N]
+//             [--trees K] [--threads T] [--max-in-flight N]
 //             [--tenant-qps R] [--deadline-ms D] [--seed S]
 //             [--data-dir DIR]
 //
-// --shards K > 0 swaps the engine's single worker pool for K per-core
-// run-to-completion pipelines (terminal-locality routed; see
-// engine/shard_exec.h); /v1/stats then carries a per-shard breakdown.
+// Integer flags must be whole decimal integers in range (ports in
+// [0, 65535], --binary-port -1 to disable, --seed unsigned 64-bit);
+// --grid takes positive W and H; --gnp P, --tenant-qps and
+// --deadline-ms take finite numbers >= 0. Anything else exits 2 before
+// the engine starts.
 //
 // --data-dir DIR makes the store durable: every published snapshot (and
 // the hierarchy serving it) is persisted as mmap arena files under DIR
@@ -27,6 +29,10 @@
 //   dmf-serve listening http=PORT binary=PORT
 // so scripts (the CI smoke step) can scrape it.
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -45,12 +51,55 @@ volatile std::sig_atomic_t g_shutdown = 0;
 
 void on_signal(int) { g_shutdown = 1; }
 
-double arg_number(int argc, char** argv, int* i, const char* flag) {
+const char* arg_value(int argc, char** argv, int* i, const char* flag) {
   if (*i + 1 >= argc) {
     std::fprintf(stderr, "dmf-serve: %s needs a value\n", flag);
     std::exit(2);
   }
-  return std::atof(argv[++*i]);
+  return argv[++*i];
+}
+
+// The whole token must parse and land in [lo, hi].
+int arg_int(int argc, char** argv, int* i, const char* flag, int lo,
+            int hi) {
+  const char* text = arg_value(argc, argv, i, flag);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    std::fprintf(stderr, "dmf-serve: %s needs an integer in [%d, %d]\n",
+                 flag, lo, hi);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
+}
+
+// strtoull would wrap "-1" to 2^64 - 1, so the token must start with a
+// digit.
+std::uint64_t arg_u64(int argc, char** argv, int* i, const char* flag) {
+  const char* text = arg_value(argc, argv, i, flag);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "dmf-serve: %s needs an integer in [0, 2^64)\n",
+                 flag);
+    std::exit(2);
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+double arg_nonnegative(int argc, char** argv, int* i, const char* flag) {
+  const char* text = arg_value(argc, argv, i, flag);
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr, "dmf-serve: %s needs a finite number >= 0\n", flag);
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
@@ -65,7 +114,6 @@ int main(int argc, char** argv) {
   double gnp_p = 0.0;
   int trees = 6;
   int threads = 0;
-  int shards = 0;
   int max_in_flight = 256;
   double tenant_qps = 0.0;
   double deadline_ms = 0.0;
@@ -75,39 +123,35 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--port") == 0) {
-      http_port = static_cast<int>(arg_number(argc, argv, &i, a));
+      http_port = arg_int(argc, argv, &i, a, 0, 65535);
     } else if (std::strcmp(a, "--binary-port") == 0) {
-      binary_port = static_cast<int>(arg_number(argc, argv, &i, a));
+      binary_port = arg_int(argc, argv, &i, a, -1, 65535);
     } else if (std::strcmp(a, "--grid") == 0) {
-      if (i + 1 >= argc ||
-          std::sscanf(argv[++i], "%dx%d", &grid_w, &grid_h) != 2) {
+      const char* text = arg_value(argc, argv, &i, a);
+      int consumed = 0;
+      if (std::sscanf(text, "%dx%d%n", &grid_w, &grid_h, &consumed) != 2 ||
+          text[consumed] != '\0' || grid_w < 1 || grid_h < 1) {
         std::fprintf(stderr, "dmf-serve: --grid needs WxH\n");
         return 2;
       }
     } else if (std::strcmp(a, "--gnp") == 0) {
       use_gnp = true;
-      gnp_n = static_cast<int>(arg_number(argc, argv, &i, a));
-      gnp_p = arg_number(argc, argv, &i, a);
+      gnp_n = arg_int(argc, argv, &i, a, 0, INT_MAX);
+      gnp_p = arg_nonnegative(argc, argv, &i, a);
     } else if (std::strcmp(a, "--trees") == 0) {
-      trees = static_cast<int>(arg_number(argc, argv, &i, a));
+      trees = arg_int(argc, argv, &i, a, 0, INT_MAX);
     } else if (std::strcmp(a, "--threads") == 0) {
-      threads = static_cast<int>(arg_number(argc, argv, &i, a));
-    } else if (std::strcmp(a, "--shards") == 0) {
-      shards = static_cast<int>(arg_number(argc, argv, &i, a));
+      threads = arg_int(argc, argv, &i, a, 0, INT_MAX);
     } else if (std::strcmp(a, "--max-in-flight") == 0) {
-      max_in_flight = static_cast<int>(arg_number(argc, argv, &i, a));
+      max_in_flight = arg_int(argc, argv, &i, a, 0, INT_MAX);
     } else if (std::strcmp(a, "--tenant-qps") == 0) {
-      tenant_qps = arg_number(argc, argv, &i, a);
+      tenant_qps = arg_nonnegative(argc, argv, &i, a);
     } else if (std::strcmp(a, "--deadline-ms") == 0) {
-      deadline_ms = arg_number(argc, argv, &i, a);
+      deadline_ms = arg_nonnegative(argc, argv, &i, a);
     } else if (std::strcmp(a, "--seed") == 0) {
-      seed = static_cast<std::uint64_t>(arg_number(argc, argv, &i, a));
+      seed = arg_u64(argc, argv, &i, a);
     } else if (std::strcmp(a, "--data-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "dmf-serve: --data-dir needs a value\n");
-        return 2;
-      }
-      data_dir = argv[++i];
+      data_dir = arg_value(argc, argv, &i, a);
     } else {
       std::fprintf(stderr, "dmf-serve: unknown flag %s\n", a);
       return 2;
@@ -135,7 +179,6 @@ int main(int argc, char** argv) {
   dmf::EngineOptions eopts;
   eopts.sherman.num_trees = trees;
   eopts.threads = threads;
-  eopts.shards = shards;
   eopts.seed = seed;
   dmf::FlowEngine engine(store, eopts);
 

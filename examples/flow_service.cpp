@@ -17,14 +17,7 @@
 // read-your-writes probe per update parks on min_version until the
 // fresh snapshot is servable.
 //
-// The engine runs the sharded backend (EngineOptions::shards): queries
-// are routed to per-core run-to-completion pipelines by terminal
-// locality, and the final report prints the per-shard breakdown —
-// routing split, replay-store hit rate, and ring backpressure. Results
-// are bitwise identical to shards = 0; pass 0 to compare.
-//
 //   ./example_flow_service [n] [waves] [wave_queries] [threads] [seed]
-//                          [shards]
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -43,19 +36,16 @@ int main(int argc, char** argv) {
   const int threads = argc > 4 ? std::atoi(argv[4]) : 0;
   const std::uint64_t seed =
       argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 99;
-  const int shards = argc > 6 ? std::atoi(argv[6]) : 2;
 
   Rng rng(seed);
   const Graph g = make_gnp_connected(n, 3.5 / n, {1, 16}, rng);
   EngineOptions options;
   options.threads = threads;
   options.seed = seed;
-  options.shards = shards;
   FlowEngine engine(g, options);
-  std::printf("service up: %s; %d trees, built in %.3fs; %s\n",
+  std::printf("service up: %s; %d trees, built in %.3fs\n",
               g.summary().c_str(), engine.stats().num_trees,
-              engine.stats().build_seconds,
-              shards > 0 ? "sharded pipelines" : "single worker pool");
+              engine.stats().build_seconds);
 
   // A background batch job at low priority: it only runs when the
   // interactive waves leave workers idle. Completion lands in a callback.
@@ -199,25 +189,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.rebuild.repairs_completed),
               static_cast<long long>(stats.rebuild.trees_repaired),
               static_cast<long long>(stats.rebuild.trees_reused));
-  if (stats.num_shards > 0) {
-    std::printf("sharding: %d shards, locality %.2f, routed %lld local / "
-                "%lld cross, replay store %lld/%lld hit/miss\n",
-                stats.num_shards, stats.shard_locality,
-                static_cast<long long>(stats.queries_routed_local),
-                static_cast<long long>(stats.queries_routed_cross),
-                static_cast<long long>(stats.result_store_hits),
-                static_cast<long long>(stats.result_store_misses));
-    for (const ShardStats& shard : stats.shards) {
-      std::printf("  shard %d: %lld nodes, %lld internal + %lld boundary "
-                  "edges; executed %lld, store hits %lld, ring-full waits "
-                  "%lld\n",
-                  shard.shard, static_cast<long long>(shard.nodes),
-                  static_cast<long long>(shard.internal_edges),
-                  static_cast<long long>(shard.boundary_edges),
-                  static_cast<long long>(shard.executed),
-                  static_cast<long long>(shard.result_store_hits),
-                  static_cast<long long>(shard.ring_full_waits));
-    }
-  }
   return 0;
 }

@@ -55,7 +55,6 @@ ARTIFACTS = [
     "BENCH_e13.json",
     "BENCH_e14.json",
     "BENCH_e15.json",
-    "BENCH_e16.json",
     "BENCH_e17.json",
 ]
 METRIC = "throughput_qps"

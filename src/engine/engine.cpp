@@ -9,13 +9,8 @@
 #include <thread>
 #include <utility>
 
-#include <cstring>
-#include <deque>
-#include <unordered_map>
-
 #include "baselines/adapters.h"
 #include "engine/hierarchy_cache.h"
-#include "engine/shard_exec.h"
 #include "graph/flow.h"
 #include "maxflow/hierarchy_io.h"
 #include "util/rng.h"
@@ -46,200 +41,6 @@ struct ContentHash {
   }
 };
 
-// --- sharded-backend plumbing ------------------------------------------------
-
-std::shared_ptr<QueryDispatcher> make_dispatcher(const EngineOptions& options) {
-  if (options.shards > 0) {
-    ShardedDispatcher::Options sharded;
-    sharded.num_shards = options.shards;
-    sharded.ring_capacity = options.shard_ring_capacity;
-    sharded.pin_threads = options.pin_shard_threads;
-    return std::make_shared<ShardedDispatcher>(sharded);
-  }
-  return std::make_shared<WorkerPool>(options.threads);
-}
-
-// Per-shard, per-generation replay store: exact-content keys map to the
-// Result an identical earlier query of the same snapshot produced. Only
-// ok results are retained, FIFO-evicted at capacity. Deliberately NOT
-// thread-safe: run-to-completion sharding guarantees a store is only
-// ever touched by its shard's worker thread.
-template <typename Payload>
-class ResultStore {
- public:
-  explicit ResultStore(std::size_t capacity) : capacity_(capacity) {}
-
-  [[nodiscard]] const Result<Payload>* find(const std::string& key) const {
-    const auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
-  void insert(const std::string& key, const Result<Payload>& value) {
-    if (capacity_ == 0) return;
-    if (map_.size() >= capacity_) {
-      map_.erase(order_.front());
-      order_.pop_front();
-    }
-    if (map_.emplace(key, value).second) order_.push_back(key);
-  }
-
- private:
-  std::size_t capacity_;
-  std::unordered_map<std::string, Result<Payload>> map_;
-  std::deque<std::string> order_;  // insertion order, for FIFO eviction
-};
-
-struct ShardMemo {
-  struct Stores {
-    ResultStore<MaxFlowApproxResult> max_flow;
-    ResultStore<RouteResult> route;
-    ResultStore<MultiTerminalMaxFlowResult> multi_terminal;
-    ResultStore<CongestRunResult> congest;
-    explicit Stores(std::size_t capacity)
-        : max_flow(capacity),
-          route(capacity),
-          multi_terminal(capacity),
-          congest(capacity) {}
-  };
-  std::vector<std::unique_ptr<Stores>> per_shard;
-
-  ShardMemo(int num_shards, std::size_t capacity) {
-    per_shard.reserve(static_cast<std::size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      per_shard.push_back(std::make_unique<Stores>(capacity));
-    }
-  }
-};
-
-ResultStore<MaxFlowApproxResult>& store_for(ShardMemo::Stores& stores,
-                                            const MaxFlowQuery&) {
-  return stores.max_flow;
-}
-ResultStore<RouteResult>& store_for(ShardMemo::Stores& stores,
-                                    const RouteQuery&) {
-  return stores.route;
-}
-ResultStore<MultiTerminalMaxFlowResult>& store_for(
-    ShardMemo::Stores& stores, const MultiTerminalQuery&) {
-  return stores.multi_terminal;
-}
-ResultStore<CongestRunResult>& store_for(ShardMemo::Stores& stores,
-                                         const CongestQuery&) {
-  return stores.congest;
-}
-
-// Exact-content replay keys: raw little-endian bytes of every field
-// that exec() reads, so two queries share a key iff exec() cannot tell
-// them apart (multi-terminal sets are canonicalized first, matching
-// exec's own canonicalization).
-void key_append(std::string& key, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    key.push_back(static_cast<char>((word >> (8 * i)) & 0xff));
-  }
-}
-
-void key_append(std::string& key, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  key_append(key, bits);
-}
-
-std::string memo_key(const MaxFlowQuery& q) {
-  std::string key(1, 'F');
-  key_append(key, static_cast<std::uint64_t>(q.s));
-  key_append(key, static_cast<std::uint64_t>(q.t));
-  key_append(key, q.epsilon);
-  key.push_back(q.exact ? '\1' : '\0');
-  return key;
-}
-
-std::string memo_key(const RouteQuery& q) {
-  std::string key(1, 'R');
-  key.reserve(1 + 8 * q.demand.size());
-  for (const double d : q.demand) key_append(key, d);
-  return key;
-}
-
-std::string memo_key(const MultiTerminalQuery& q) {
-  std::string key(1, 'M');
-  for (const NodeId v : canonical_terminals(q.sources)) {
-    key_append(key, static_cast<std::uint64_t>(v));
-  }
-  key_append(key, std::uint64_t{0xffffffffffffffffULL});  // set separator
-  for (const NodeId v : canonical_terminals(q.sinks)) {
-    key_append(key, static_cast<std::uint64_t>(v));
-  }
-  key_append(key, q.epsilon);
-  key.push_back(q.exact ? '\1' : '\0');
-  return key;
-}
-
-std::string memo_key(const CongestQuery& q) {
-  std::string key(1, 'C');
-  key_append(key, static_cast<std::uint64_t>(q.source));
-  key_append(key, static_cast<std::uint64_t>(q.sink));
-  key_append(key, static_cast<std::uint64_t>(q.max_rounds));
-  key_append(key, static_cast<std::uint64_t>(q.threads));
-  return key;
-}
-
-// Terminal-locality routing: a query lands on the shard owning its
-// terminals; when they straddle shards (`cross`), on the lowest-indexed
-// owning shard, which serves it against the full hierarchy — the
-// hierarchy's top levels are the cross-shard aggregation path. Invalid
-// node ids map to shard 0 (ShardAssignment::shard_of), where validation
-// rejects the query as it would on any shard.
-int route_lane(const ShardAssignment& assignment, const MaxFlowQuery& q,
-               bool* cross) {
-  const int s = assignment.shard_of(q.s);
-  const int t = assignment.shard_of(q.t);
-  *cross = s != t;
-  return std::min(s, t);
-}
-
-int route_lane(const ShardAssignment& assignment, const CongestQuery& q,
-               bool* cross) {
-  const int s = assignment.shard_of(q.source);
-  const int t = assignment.shard_of(q.sink);
-  *cross = s != t;
-  return std::min(s, t);
-}
-
-int route_lane(const ShardAssignment& assignment, const RouteQuery& q,
-               bool* cross) {
-  int lane = -1;
-  *cross = false;
-  for (std::size_t v = 0; v < q.demand.size(); ++v) {
-    if (q.demand[v] == 0.0) continue;
-    const int s = assignment.shard_of(static_cast<NodeId>(v));
-    if (lane < 0) {
-      lane = s;
-    } else if (s != lane) {
-      *cross = true;
-      lane = std::min(lane, s);
-    }
-  }
-  return lane < 0 ? 0 : lane;
-}
-
-int route_lane(const ShardAssignment& assignment,
-               const MultiTerminalQuery& q, bool* cross) {
-  int lane = -1;
-  *cross = false;
-  for (const std::vector<NodeId>* set : {&q.sources, &q.sinks}) {
-    for (const NodeId v : *set) {
-      const int s = assignment.shard_of(v);
-      if (lane < 0) {
-        lane = s;
-      } else if (s != lane) {
-        *cross = true;
-        lane = std::min(lane, s);
-      }
-    }
-  }
-  return lane < 0 ? 0 : lane;
-}
-
 }  // namespace
 
 // --- Core --------------------------------------------------------------------
@@ -256,45 +57,12 @@ struct FlowEngine::Core {
     std::shared_ptr<const ShermanHierarchy> hierarchy;
     ShermanSolver solver;  // default-accuracy solver on the hierarchy
     std::shared_ptr<HierarchyCache> cache;
-    // --- sharded backend only (num_shards > 0; null/empty otherwise) ---
-    // The snapshot's plan folded onto K shards: the router's node ->
-    // shard map plus per-shard slice views for stats.
-    std::shared_ptr<const ShardAssignment> assignment;
-    // One HierarchyCache per shard so a shard's multi-terminal builds
-    // never contend with another's. Content-seeded builds make the
-    // split invisible to results.
-    std::vector<std::shared_ptr<HierarchyCache>> shard_caches;
-    // Replay stores, one per shard, owned exclusively by that shard's
-    // worker; dropped whole with this generation.
-    std::shared_ptr<ShardMemo> memo;
-
     Serving(GraphSnapshot snap, std::shared_ptr<const ShermanHierarchy> h,
-            const ShermanOptions& solver_options, std::size_t cache_capacity,
-            int num_shards, std::size_t result_store_capacity)
+            const ShermanOptions& solver_options, std::size_t cache_capacity)
         : snapshot(std::move(snap)),
           hierarchy(std::move(h)),
           solver(hierarchy, solver_options),
-          cache(std::make_shared<HierarchyCache>(cache_capacity)) {
-      if (num_shards > 0) {
-        assignment = std::make_shared<const ShardAssignment>(
-            *snapshot.plan, num_shards, *snapshot.csr);
-        shard_caches.reserve(static_cast<std::size_t>(num_shards));
-        for (int s = 0; s < num_shards; ++s) {
-          shard_caches.push_back(
-              std::make_shared<HierarchyCache>(cache_capacity));
-        }
-        memo = std::make_shared<ShardMemo>(num_shards, result_store_capacity);
-      }
-    }
-
-    // The multi-terminal cache serving `shard` (-1 = unsharded backend).
-    [[nodiscard]] const std::shared_ptr<HierarchyCache>& cache_for(
-        int shard) const {
-      if (shard >= 0 && !shard_caches.empty()) {
-        return shard_caches[static_cast<std::size_t>(shard)];
-      }
-      return cache;
-    }
+          cache(std::make_shared<HierarchyCache>(cache_capacity)) {}
   };
 
   std::shared_ptr<GraphStore> store;
@@ -344,31 +112,13 @@ struct FlowEngine::Core {
   std::int64_t retired_cache_hits DMF_GUARDED_BY(stats_mutex) = 0;
   std::int64_t retired_cache_misses DMF_GUARDED_BY(stats_mutex) = 0;
   // For releasing parked queries after a swap; weak so Core never keeps
-  // the dispatcher (and its threads) alive past the engine.
-  std::weak_ptr<QueryDispatcher> pool;
+  // the pool (and its threads) alive past the engine.
+  std::weak_ptr<WorkerPool> pool;
 
-  // --- sharded backend (options.shards; 0 = classic pool) ---
-  int num_shards = 0;
-  // Routing / replay counters, cumulative across generations. One slot
-  // per shard behind a unique_ptr so the atomics never move; submit
-  // threads bump routing, shard workers bump store hits.
-  struct ShardCounters {
-    std::atomic<std::int64_t> routed_local{0};
-    std::atomic<std::int64_t> routed_cross{0};
-    std::atomic<std::int64_t> store_hits{0};
-    std::atomic<std::int64_t> store_misses{0};
-  };
-  std::vector<std::unique_ptr<ShardCounters>> shard_counters;
 
   Core(std::shared_ptr<GraphStore> store_in, EngineOptions opts)
       : store(std::move(store_in)), options(std::move(opts)) {
     DMF_REQUIRE(store != nullptr, "FlowEngine: null graph store");
-    DMF_REQUIRE(options.shards >= 0, "FlowEngine: negative shard count");
-    num_shards = options.shards;
-    shard_counters.reserve(static_cast<std::size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      shard_counters.push_back(std::make_unique<ShardCounters>());
-    }
     // Derive the AlmostRoute accuracy from the engine accuracy when
     // the caller left it at the library default, mirroring
     // approx_max_flow / approx_max_flow_multi.
@@ -423,8 +173,7 @@ struct FlowEngine::Core {
         if (loaded != nullptr) {
           serving = std::make_shared<const Serving>(
               snap, std::move(loaded), options.sherman,
-              options.hierarchy_cache_capacity, num_shards,
-              options.shard_result_store_capacity);
+              options.hierarchy_cache_capacity);
           stats.hierarchy_cold_loads = 1;
         }
       } catch (...) {
@@ -470,8 +219,7 @@ struct FlowEngine::Core {
         snap.graph, build_sherman, rng, snap.version, snap.csr);
     return std::make_shared<const Serving>(
         snap, std::move(hierarchy), options.sherman,
-        options.hierarchy_cache_capacity, num_shards,
-        options.shard_result_store_capacity);
+        options.hierarchy_cache_capacity);
   }
 
   [[nodiscard]] std::shared_ptr<const Serving> current_serving() const {
@@ -518,8 +266,7 @@ struct FlowEngine::Core {
     if (hierarchy == nullptr) return nullptr;
     return std::make_shared<const Serving>(
         snap, std::move(hierarchy), options.sherman,
-        options.hierarchy_cache_capacity, num_shards,
-        options.shard_result_store_capacity);
+        options.hierarchy_cache_capacity);
   }
 
   // The background refresh task body. Repairs or rebuilds the hierarchy
@@ -631,10 +378,6 @@ struct FlowEngine::Core {
       // counters in so engine totals stay cumulative.
       retired_cache_hits += retired->cache->hits();
       retired_cache_misses += retired->cache->misses();
-      for (const auto& shard_cache : retired->shard_caches) {
-        retired_cache_hits += shard_cache->hits();
-        retired_cache_misses += shard_cache->misses();
-      }
     }
     version_cv.notify_all();
     if (auto p = pool.lock()) {
@@ -706,13 +449,9 @@ struct FlowEngine::Core {
   // --- typed execution (validation, dispatch, classification) ---
   // Every exec runs against ONE Serving, grabbed by the caller at
   // execution start: graph, hierarchy, and cache all belong to the same
-  // snapshot generation. `shard` selects shard-local state (the
-  // multi-terminal cache); -1 means the unsharded backend. It can never
-  // change a result — only which cache instance builds/holds it.
+  // snapshot generation.
 
-  Result<MaxFlowApproxResult> exec(const MaxFlowQuery& q, const Serving& sv,
-                                   int shard) {
-    (void)shard;
+  Result<MaxFlowApproxResult> exec(const MaxFlowQuery& q, const Serving& sv) {
     using R = Result<MaxFlowApproxResult>;
     const Graph& g = *sv.snapshot.graph;
     if (!g.is_valid_node(q.s) || !g.is_valid_node(q.t)) {
@@ -751,9 +490,7 @@ struct FlowEngine::Core {
     return out;
   }
 
-  Result<RouteResult> exec(const RouteQuery& q, const Serving& sv,
-                           int shard) {
-    (void)shard;
+  Result<RouteResult> exec(const RouteQuery& q, const Serving& sv) {
     using R = Result<RouteResult>;
     const Graph& g = *sv.snapshot.graph;
     if (q.demand.size() != static_cast<std::size_t>(g.num_nodes())) {
@@ -783,7 +520,7 @@ struct FlowEngine::Core {
   }
 
   Result<MultiTerminalMaxFlowResult> exec(const MultiTerminalQuery& q,
-                                          const Serving& sv, int shard) {
+                                          const Serving& sv) {
     using R = Result<MultiTerminalMaxFlowResult>;
     const Graph& g = *sv.snapshot.graph;
     if (q.sources.empty() || q.sinks.empty()) {
@@ -842,7 +579,7 @@ struct FlowEngine::Core {
             multi_terminal_options_for_epsilon(epsilon);
         if (options.share_multi_terminal_hierarchies) {
           const std::shared_ptr<const SuperTerminalHierarchy> st =
-              sv.cache_for(shard)->get_or_build(
+              sv.cache->get_or_build(
                   sources, sinks,
                   [this, &sv](const std::vector<NodeId>& srcs,
                               const std::vector<NodeId>& snks) {
@@ -870,9 +607,7 @@ struct FlowEngine::Core {
     return out;
   }
 
-  Result<CongestRunResult> exec(const CongestQuery& q, const Serving& sv,
-                                int shard) {
-    (void)shard;
+  Result<CongestRunResult> exec(const CongestQuery& q, const Serving& sv) {
     using R = Result<CongestRunResult>;
     const Graph& g = *sv.snapshot.graph;
     if (!g.is_valid_node(q.source) || !g.is_valid_node(q.sink)) {
@@ -969,49 +704,8 @@ struct FlowEngine::Core {
     }
     out.hierarchy_cache_hits += s->cache->hits();
     out.hierarchy_cache_misses += s->cache->misses();
-    for (const auto& shard_cache : s->shard_caches) {
-      out.hierarchy_cache_hits += shard_cache->hits();
-      out.hierarchy_cache_misses += shard_cache->misses();
-    }
     out.serving_version = s->snapshot.version;
     out.latest_version = store->latest_version();
-    // --- sharded backend breakdown ---
-    out.num_shards = num_shards;
-    if (num_shards > 0 && s->assignment != nullptr) {
-      out.shard_locality = s->assignment->locality();
-      const auto dispatcher =
-          std::dynamic_pointer_cast<ShardedDispatcher>(pool.lock());
-      out.shards.reserve(static_cast<std::size_t>(num_shards));
-      for (int sh = 0; sh < num_shards; ++sh) {
-        ShardStats row;
-        row.shard = sh;
-        const ShardAssignment::Slice& slice = s->assignment->slice(sh);
-        row.nodes = static_cast<NodeId>(slice.nodes.size());
-        row.internal_edges = slice.internal_edges;
-        row.boundary_edges = slice.boundary_edges;
-        const ShardCounters& counters =
-            *shard_counters[static_cast<std::size_t>(sh)];
-        row.routed_local =
-            counters.routed_local.load(std::memory_order_relaxed);
-        row.routed_cross =
-            counters.routed_cross.load(std::memory_order_relaxed);
-        row.result_store_hits =
-            counters.store_hits.load(std::memory_order_relaxed);
-        row.result_store_misses =
-            counters.store_misses.load(std::memory_order_relaxed);
-        if (dispatcher != nullptr) {
-          const ShardedDispatcher::LaneStats lane = dispatcher->lane_stats(sh);
-          row.executed = lane.executed;
-          row.ring_full_waits = lane.ring_full_waits;
-          row.queue_depth = lane.queue_depth;
-        }
-        out.queries_routed_local += row.routed_local;
-        out.queries_routed_cross += row.routed_cross;
-        out.result_store_hits += row.result_store_hits;
-        out.result_store_misses += row.result_store_misses;
-        out.shards.push_back(row);
-      }
-    }
     return out;
   }
 };
@@ -1021,7 +715,7 @@ struct FlowEngine::Core {
 FlowEngine::FlowEngine(std::shared_ptr<GraphStore> store,
                        EngineOptions options)
     : core_(std::make_shared<Core>(std::move(store), std::move(options))),
-      pool_(make_dispatcher(core_->options)) {
+      pool_(std::make_shared<WorkerPool>(core_->options.threads)) {
   core_->pool = pool_;
 }
 
@@ -1051,65 +745,25 @@ Ticket<Payload> FlowEngine::submit_impl(
   auto promise = std::make_shared<std::promise<Result<Payload>>>();
   std::future<Result<Payload>> future = promise->get_future();
   auto core = core_;
-  // Terminal-locality routing (sharded backend): pick the query's lane
-  // from the *current* serving's assignment. A rebuild may swap in a
-  // different assignment before the query executes — harmless, since
-  // the lane only decides where the query runs and which shard-local
-  // state serves it, never what it computes.
-  int shard = -1;
-  if (core->num_shards > 0) {
-    bool cross = false;
-    shard = route_lane(*core->current_serving()->assignment, query, &cross);
-    Core::ShardCounters& counters =
-        *core->shard_counters[static_cast<std::size_t>(shard)];
-    (cross ? counters.routed_cross : counters.routed_local)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  // The dispatcher requires `run` to never throw: anything escaping it
+  // The pool requires `run` to never throw: anything escaping it
   // would std::terminate the worker thread. exec() classifies solver
   // exceptions itself; the catch-alls here cover non-std throws and,
   // separately, a throwing user callback (the callback's exception is
   // swallowed — the ticket still resolves with the computed result).
-  auto run = [core, promise, done, shard, query = std::move(query)] {
+  auto run = [core, promise, done, query = std::move(query)] {
     const auto start = std::chrono::steady_clock::now();
-    // One consistent generation for the whole query: graph, hierarchy,
-    // caches, and replay store all come from this Serving, which the
-    // shared_ptr keeps alive even if a rebuild swaps it out mid-query.
+    // One consistent generation for the whole query: graph, hierarchy
+    // and cache all come from this Serving, which the shared_ptr keeps
+    // alive even if a rebuild swaps it out mid-query.
     const std::shared_ptr<const Core::Serving> serving =
         core->current_serving();
     Result<Payload> result;
-    // Replay store (sharded backend): this shard's worker is the only
-    // thread that ever touches this store, so the lookup is lock-free
-    // by construction. A hit replays the identical earlier computation
-    // of this same generation — bitwise equal to re-running exec().
-    ShardMemo::Stores* stores =
-        shard >= 0 && serving->memo != nullptr
-            ? serving->memo->per_shard[static_cast<std::size_t>(shard)].get()
-            : nullptr;
-    std::string key;
-    bool replayed = false;
-    if (stores != nullptr) {
-      key = memo_key(query);
-      if (const Result<Payload>* cached = store_for(*stores, query).find(key)) {
-        result = *cached;
-        replayed = true;
-      }
-      Core::ShardCounters& counters =
-          *core->shard_counters[static_cast<std::size_t>(shard)];
-      (replayed ? counters.store_hits : counters.store_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!replayed) {
-      try {
-        result = core->exec(query, *serving, shard);
-      } catch (...) {
-        result = Result<Payload>::failure(ErrorCode::kInternalError,
-                                          "non-standard exception escaped "
-                                          "query execution");
-      }
-      if (stores != nullptr && result.ok()) {
-        store_for(*stores, query).insert(key, result);
-      }
+    try {
+      result = core->exec(query, *serving);
+    } catch (...) {
+      result = Result<Payload>::failure(ErrorCode::kInternalError,
+                                        "non-standard exception escaped "
+                                        "query execution");
     }
     result.seconds = seconds_since(start);
     result.served_version = serving->snapshot.version;
@@ -1141,7 +795,6 @@ Ticket<Payload> FlowEngine::submit_impl(
     }
     promise->set_value(std::move(result));
   };
-  const int lane = shard < 0 ? 0 : shard;  // single-pool ignores lanes
   std::uint64_t id = 0;
   bool submitted = false;
   if (opts.min_version > 0) {
@@ -1150,8 +803,8 @@ Ticket<Payload> FlowEngine::submit_impl(
     // is registered before any future flush can run.
     MutexLock lock(core->version_mutex);
     if (core->serving->snapshot.version < opts.min_version) {
-      id = pool_->dispatch_parked(opts.priority, std::move(run),
-                                  std::move(cancelled), lane);
+      id = pool_->submit_parked(opts.priority, std::move(run),
+                                std::move(cancelled));
       core->parked.push_back({id, opts.min_version});
       {
         MutexLock slock(core->stats_mutex);
@@ -1161,8 +814,7 @@ Ticket<Payload> FlowEngine::submit_impl(
     }
   }
   if (!submitted) {
-    id = pool_->dispatch(opts.priority, std::move(run), std::move(cancelled),
-                         lane);
+    id = pool_->submit(opts.priority, std::move(run), std::move(cancelled));
   }
   return Ticket<Payload>(id, std::move(future), pool_);
 }
@@ -1231,7 +883,7 @@ void FlowEngine::schedule_rebuild() {
     ++core->pending_rebuilds;
   }
   try {
-    pool_->dispatch(
+    pool_->submit(
         kRebuildPriority, [core] { core->run_rebuild(); },
         [core](ErrorCode) {
           // Engine shut down before the rebuild ran; the previous
@@ -1242,8 +894,7 @@ void FlowEngine::schedule_rebuild() {
             core->finish_pending_rebuild_locked();
           }
           core->version_cv.notify_all();
-        },
-        QueryDispatcher::kControlLane);
+        });
   } catch (...) {
     {
       MutexLock lock(core->version_mutex);
@@ -1427,10 +1078,6 @@ const ShermanHierarchy& FlowEngine::hierarchy() const {
 const SolverRegistry& FlowEngine::registry() const { return core_->registry; }
 
 const EngineOptions& FlowEngine::options() const { return core_->options; }
-
-std::shared_ptr<const ShardAssignment> FlowEngine::shard_assignment() const {
-  return core_->current_serving()->assignment;
-}
 
 EngineStats FlowEngine::stats() const { return core_->snapshot_stats(); }
 

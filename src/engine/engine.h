@@ -46,24 +46,6 @@
 // snapshot that served it, and the query content — never on rebuild
 // timing, and a post-swap query matches a fresh engine built directly on
 // the mutated graph bitwise.
-//
-// v4: the execution backend is pluggable. EngineOptions::shards > 0
-// replaces the single mutexed worker pool with per-shard run-to-
-// completion pipelines (engine/shard_exec.h): each snapshot carries a
-// locality shard plan (graph/shard_plan.h), submit() routes a query to
-// the shard owning its terminals over a bounded SPSC ring, and the
-// owning worker — the only thread that ever executes that shard's
-// queries — serves it with shard-local state: a per-shard
-// HierarchyCache and a per-shard, per-generation result store that
-// replays previously computed identical queries. The determinism
-// contract is unchanged and shard-count-invariant: results are bitwise
-// identical at any shard count (including 0, the classic pool), because
-// routing only picks *where* a query runs and the result store only
-// replays what the same deterministic exec already produced for the
-// same snapshot. Cross-shard queries (terminals on different shards)
-// run on the lowest-indexed owning shard against the full hierarchy —
-// the hierarchy's top levels are the aggregation path — and are counted
-// per shard in EngineStats.
 #pragma once
 
 #include <cstdint>
@@ -166,23 +148,6 @@ struct RebuildStats {
   double repair_seconds_total = 0.0;
 };
 
-// Per-shard serving breakdown (sharded backend only; see
-// EngineOptions::shards). Slice fields describe the serving snapshot's
-// shard plan; counter fields are cumulative since engine construction.
-struct ShardStats {
-  int shard = 0;
-  NodeId nodes = 0;            // global nodes owned by this shard
-  EdgeId internal_edges = 0;   // both endpoints on this shard
-  EdgeId boundary_edges = 0;   // edges this shard shares with another
-  std::size_t queue_depth = 0; // sampled SPSC ring occupancy
-  std::int64_t executed = 0;   // queries run to completion on this lane
-  std::int64_t routed_local = 0;  // all terminals on this shard
-  std::int64_t routed_cross = 0;  // terminals straddle shards
-  std::int64_t ring_full_waits = 0;  // submit-side backpressure events
-  std::int64_t result_store_hits = 0;
-  std::int64_t result_store_misses = 0;
-};
-
 struct EngineStats {
   double build_seconds = 0.0;  // hierarchy construction wall time
   double build_rounds = 0.0;   // accounted CONGEST rounds of the build
@@ -222,21 +187,6 @@ struct EngineStats {
   double query_rounds_total = 0.0;
   double max_congestion = 0.0;      // worst route() congestion observed
   std::map<std::string, std::int64_t> queries_by_solver;
-  // --- sharded execution (EngineOptions::shards > 0; empty otherwise) ---
-  int num_shards = 0;  // 0 = classic single-pool backend
-  // Routing split at submit time: local = every terminal of the query
-  // fell on one shard, cross = the query aggregates across shards
-  // (served on its lowest owning shard against the full hierarchy).
-  std::int64_t queries_routed_local = 0;
-  std::int64_t queries_routed_cross = 0;
-  // Per-shard, per-generation result store: a hit replays an identical
-  // earlier query of the same snapshot bitwise instead of recomputing.
-  std::int64_t result_store_hits = 0;
-  std::int64_t result_store_misses = 0;
-  // Fraction of the serving snapshot's edges internal to their shard —
-  // the quality of the locality partition (1.0 when K == 1).
-  double shard_locality = 0.0;
-  std::vector<ShardStats> shards;
 
   // The economic argument for batching: the one-off build cost spread
   // over every query served so far.
@@ -302,28 +252,7 @@ struct EngineOptions {
   // identical hierarchy, it just pays the build again.
   std::size_t hierarchy_cache_capacity = 64;
   // Worker threads of the persistent pool; 0 = all hardware threads.
-  // Ignored when `shards` > 0 for query execution (one worker per
-  // shard), but still sizes the hierarchy-build parallelism.
   int threads = 0;
-  // --- sharded execution backend ---
-  // 0 (default) keeps the classic single worker pool. K > 0 partitions
-  // the serving snapshot into K shards via its locality plan and pins
-  // one run-to-completion worker per shard behind a bounded SPSC ring;
-  // submit() routes each query to the shard owning its terminals.
-  // Results are bitwise identical at every value of K — sharding moves
-  // work, never changes it. With sharding, SubmitOptions::priority
-  // becomes a no-op (each ring is FIFO); it was always only a
-  // scheduling hint.
-  int shards = 0;
-  // Capacity of each shard's submission ring; a full ring blocks the
-  // submitter briefly (counted in ShardStats::ring_full_waits).
-  std::size_t shard_ring_capacity = 1024;
-  // Pin shard workers to cores (Linux, best-effort).
-  bool pin_shard_threads = true;
-  // Entries retained per shard per generation in the result store
-  // (FIFO eviction; 0 disables replay). Stores are dropped whole with
-  // their snapshot generation, so replayed results never mix versions.
-  std::size_t shard_result_store_capacity = 4096;
   // Threads for the one-off virtual-tree sampling; 0 = same as `threads`,
   // 1 = keep the build sequential.
   int sample_threads = 0;
@@ -466,11 +395,6 @@ class FlowEngine {
   [[nodiscard]] const ShermanHierarchy& hierarchy() const;
   [[nodiscard]] const SolverRegistry& registry() const;
   [[nodiscard]] const EngineOptions& options() const;
-  // The serving snapshot's shard assignment (null when shards == 0).
-  // Like hierarchy(), superseded by the next rebuild swap — but the
-  // shared_ptr keeps a grabbed assignment valid indefinitely.
-  [[nodiscard]] std::shared_ptr<const ShardAssignment> shard_assignment()
-      const;
   // Snapshot of the counters (taken under the stats lock; safe to call
   // while queries are in flight).
   [[nodiscard]] EngineStats stats() const;
@@ -486,7 +410,7 @@ class FlowEngine {
   void schedule_rebuild();
 
   std::shared_ptr<Core> core_;
-  std::shared_ptr<QueryDispatcher> pool_;
+  std::shared_ptr<WorkerPool> pool_;
 };
 
 }  // namespace dmf

@@ -53,74 +53,14 @@ struct SubmitOptions {
 // drift.
 [[nodiscard]] int resolve_worker_threads(int requested);
 
-// The execution backend contract the engine (and Ticket) program
-// against. Two implementations: WorkerPool (one shared priority queue —
-// the classic backend) and ShardedDispatcher (per-shard run-to-
-// completion pipelines over SPSC rings, engine/shard_exec.h). The task
-// lifecycle contract is shared: each dispatched task pairs a run
-// closure with a cancel closure, exactly one of the two ever executes,
-// and every task is resolved by shutdown at the latest — queued tasks
-// with kShutdown, parked tasks with kVersionUnavailable.
-class QueryDispatcher {
+class WorkerPool {
  public:
   // Fulfills the task's promise with the given terminal code without
   // running the query.
   using CancelFn = std::function<void(ErrorCode)>;
 
-  // Lane for tasks that must never queue behind (or occupy) the query
-  // lanes — hierarchy rebuilds. The sharded backend runs them on a
-  // dedicated control thread; WorkerPool folds them into its one queue
-  // at their priority.
-  static constexpr int kControlLane = -1;
-
-  virtual ~QueryDispatcher() = default;
-
-  // Enqueue a task onto `lane`; returns its id (for cancel()). `run`
-  // must not throw. Backends without lanes ignore the argument.
-  virtual std::uint64_t dispatch(int priority, std::function<void()> run,
-                                 CancelFn cancelled, int lane) = 0;
-
-  // Enqueue a task in the *parked* state: it holds an id (cancellable,
-  // counted by wait_all) but no worker will pop it until release(id)
-  // moves it into its lane. The engine parks queries whose
-  // SubmitOptions::min_version is ahead of the serving snapshot.
-  virtual std::uint64_t dispatch_parked(int priority,
-                                        std::function<void()> run,
-                                        CancelFn cancelled, int lane) = 0;
-
-  // Move a parked task into its runnable lane. Returns false if the
-  // task is not parked anymore (released before, cancelled, unknown) or
-  // the dispatcher is shutting down (shutdown resolves parked tasks
-  // itself).
-  virtual bool release(std::uint64_t id) = 0;
-
-  // Resolve a still-parked task with `code` without ever running it.
-  // Returns false if the task is not parked anymore.
-  virtual bool fail_parked(std::uint64_t id, ErrorCode code) = 0;
-
-  // Cancel a still-queued (or still-parked) task: its CancelFn runs
-  // (with kCancelled) and true is returned. Returns false if the task
-  // already started, finished, was cancelled before, or the id is
-  // unknown.
-  virtual bool cancel(std::uint64_t id) = 0;
-
-  // Block until every task dispatched so far has run or been cancelled.
-  virtual void wait_all() = 0;
-
-  // Resolve everything still queued/parked and join the workers.
-  // Idempotent.
-  virtual void shutdown() = 0;
-
-  [[nodiscard]] virtual int threads() const = 0;
-  [[nodiscard]] virtual std::int64_t cancelled_count() const = 0;
-};
-
-class WorkerPool : public QueryDispatcher {
- public:
-  using CancelFn = QueryDispatcher::CancelFn;
-
   explicit WorkerPool(int threads);
-  ~WorkerPool() override;
+  ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
@@ -129,51 +69,41 @@ class WorkerPool : public QueryDispatcher {
   std::uint64_t submit(int priority, std::function<void()> run,
                        CancelFn cancelled);
 
-  // Parked form of submit; see QueryDispatcher::dispatch_parked.
+  // Enqueue a task in the *parked* state: it holds an id (cancellable,
+  // counted by wait_all) but no worker will pop it until release(id)
+  // moves it into the queue. The engine parks queries whose
+  // SubmitOptions::min_version is ahead of the serving snapshot.
   std::uint64_t submit_parked(int priority, std::function<void()> run,
                               CancelFn cancelled);
-
-  // QueryDispatcher interface. The pool has one queue: lanes are
-  // ignored, priorities order execution.
-  std::uint64_t dispatch(int priority, std::function<void()> run,
-                         CancelFn cancelled, int lane) override {
-    (void)lane;
-    return submit(priority, std::move(run), std::move(cancelled));
-  }
-  std::uint64_t dispatch_parked(int priority, std::function<void()> run,
-                                CancelFn cancelled, int lane) override {
-    (void)lane;
-    return submit_parked(priority, std::move(run), std::move(cancelled));
-  }
 
   // Move a parked task into the runnable queue at its submission
   // priority. Returns false if the task is not parked anymore (released
   // before, cancelled, unknown) or the pool is shutting down (shutdown
   // resolves parked tasks itself).
-  bool release(std::uint64_t id) override;
+  bool release(std::uint64_t id);
 
   // Resolve a still-parked task with `code` without ever running it
   // (used when the version a parked query waits for can never be
   // served). Returns false if the task is not parked anymore.
-  bool fail_parked(std::uint64_t id, ErrorCode code) override;
+  bool fail_parked(std::uint64_t id, ErrorCode code);
 
   // Cancel a still-queued (or still-parked) task: its CancelFn runs
   // (with kCancelled) and true is returned. Returns false if the task
   // already started, finished, was cancelled before, or the id is
   // unknown.
-  bool cancel(std::uint64_t id) override;
+  bool cancel(std::uint64_t id);
 
   // Block until every task submitted so far has run or been cancelled.
-  void wait_all() override;
+  void wait_all();
 
   // Cancel everything still queued (with kShutdown) and everything
   // still parked (with kVersionUnavailable — the version they were
   // waiting for will never arrive), then join the workers. Idempotent;
   // called by the destructor.
-  void shutdown() override;
+  void shutdown();
 
-  [[nodiscard]] int threads() const override { return thread_count_; }
-  [[nodiscard]] std::int64_t cancelled_count() const override {
+  [[nodiscard]] int threads() const { return thread_count_; }
+  [[nodiscard]] std::int64_t cancelled_count() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
 
@@ -244,7 +174,7 @@ class Ticket {
   // get() yields ErrorCode::kCancelled; false means it already started
   // (or finished) and get() yields its real result.
   bool cancel() {
-    if (auto dispatcher = pool_.lock()) return dispatcher->cancel(id_);
+    if (auto pool = pool_.lock()) return pool->cancel(id_);
     return false;
   }
 
@@ -272,12 +202,12 @@ class Ticket {
  private:
   friend class FlowEngine;
   Ticket(std::uint64_t id, std::future<Result<T>> future,
-         std::weak_ptr<QueryDispatcher> pool)
+         std::weak_ptr<WorkerPool> pool)
       : id_(id), future_(std::move(future)), pool_(std::move(pool)) {}
 
   std::uint64_t id_ = 0;
   std::future<Result<T>> future_;
-  std::weak_ptr<QueryDispatcher> pool_;
+  std::weak_ptr<WorkerPool> pool_;
 };
 
 }  // namespace dmf

@@ -689,36 +689,6 @@ Json to_json(const EngineStats& s) {
     by_solver.emplace_back(name, Json(count));
   }
   obj.emplace_back("queries_by_solver", Json(std::move(by_solver)));
-  // Sharded-backend breakdown (EngineOptions::shards > 0); num_shards 0
-  // with an empty array means the classic single-pool backend.
-  obj.emplace_back("num_shards", Json(s.num_shards));
-  if (s.num_shards > 0) {
-    obj.emplace_back("queries_routed_local", Json(s.queries_routed_local));
-    obj.emplace_back("queries_routed_cross", Json(s.queries_routed_cross));
-    obj.emplace_back("result_store_hits", Json(s.result_store_hits));
-    obj.emplace_back("result_store_misses", Json(s.result_store_misses));
-    obj.emplace_back("shard_locality", Json(s.shard_locality));
-  }
-  JsonArray shards;
-  for (const ShardStats& shard : s.shards) {
-    JsonObject row;
-    row.emplace_back("shard", Json(shard.shard));
-    row.emplace_back("nodes", Json(static_cast<std::int64_t>(shard.nodes)));
-    row.emplace_back("internal_edges",
-                     Json(static_cast<std::int64_t>(shard.internal_edges)));
-    row.emplace_back("boundary_edges",
-                     Json(static_cast<std::int64_t>(shard.boundary_edges)));
-    row.emplace_back("queue_depth",
-                     Json(static_cast<std::uint64_t>(shard.queue_depth)));
-    row.emplace_back("executed", Json(shard.executed));
-    row.emplace_back("routed_local", Json(shard.routed_local));
-    row.emplace_back("routed_cross", Json(shard.routed_cross));
-    row.emplace_back("ring_full_waits", Json(shard.ring_full_waits));
-    row.emplace_back("result_store_hits", Json(shard.result_store_hits));
-    row.emplace_back("result_store_misses", Json(shard.result_store_misses));
-    shards.emplace_back(Json(std::move(row)));
-  }
-  obj.emplace_back("shards", Json(std::move(shards)));
   return Json(std::move(obj));
 }
 

@@ -226,13 +226,16 @@ EngineOptions session_options(int threads) {
   return options;
 }
 
-struct ReferenceResults {
+struct QueryResults {
   std::vector<Result<MaxFlowApproxResult>> max_flows;
+  Result<RouteResult> route;
   Result<MultiTerminalMaxFlowResult> multi;
+  Result<CongestRunResult> congest;
 };
 
 // The acceptance-criterion property: submit-based execution is bitwise
-// identical regardless of submission order, priority, or thread count.
+// identical regardless of submission order, priority, or thread count,
+// for every query kind and for repeated identical queries.
 TEST(FlowEngineSession, PermutationPriorityThreadDeterminism) {
   Rng rng(101);
   const Graph g = make_gnp_connected(70, 0.09, {1, 9}, rng);
@@ -241,52 +244,92 @@ TEST(FlowEngineSession, PermutationPriorityThreadDeterminism) {
     queries.push_back(
         MaxFlowQuery{static_cast<NodeId>(i), static_cast<NodeId>(69 - i)});
   }
+  for (std::size_t i = 0; i < 3; ++i) queries.push_back(queries[i]);
+  RouteQuery route;
+  route.demand.assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
+  route.demand.front() = 2.0;
+  route.demand.back() = -2.0;
   const MultiTerminalQuery multi{{0, 1, 2}, {67, 68, 69}, 0.0, false};
+  const CongestQuery congest{0, 69, 0, 1};
+
+  // Submits every query in `order` (indices past the max-flow queries
+  // name route, multi-terminal and congest) and collects the results.
+  auto run = [&](FlowEngine& engine, const std::vector<std::size_t>& order,
+                 Rng* priority_rng) {
+    auto opts = [&] {
+      const int priority =
+          priority_rng == nullptr
+              ? 0
+              : static_cast<int>(priority_rng->next_below(7)) - 3;
+      return SubmitOptions{priority};
+    };
+    std::vector<MaxFlowTicket> tickets(queries.size());
+    RouteTicket route_ticket;
+    MultiTerminalTicket multi_ticket;
+    CongestTicket congest_ticket;
+    for (const std::size_t i : order) {
+      if (i < queries.size()) {
+        tickets[i] = engine.submit(queries[i], opts());
+      } else if (i == queries.size()) {
+        route_ticket = engine.submit(route, opts());
+      } else if (i == queries.size() + 1) {
+        multi_ticket = engine.submit(multi, opts());
+      } else {
+        congest_ticket = engine.submit(congest, opts());
+      }
+    }
+    QueryResults out;
+    for (MaxFlowTicket& t : tickets) out.max_flows.push_back(t.get());
+    out.route = route_ticket.get();
+    out.multi = multi_ticket.get();
+    out.congest = congest_ticket.get();
+    return out;
+  };
+  std::vector<std::size_t> natural(queries.size() + 3);
+  for (std::size_t i = 0; i < natural.size(); ++i) natural[i] = i;
 
   // Reference: sequential engine, natural order, default priority.
-  ReferenceResults reference;
+  QueryResults reference;
   {
     FlowEngine engine(g, session_options(1));
-    std::vector<MaxFlowTicket> tickets;
-    for (const MaxFlowQuery& q : queries) tickets.push_back(engine.submit(q));
-    MultiTerminalTicket mt = engine.submit(multi);
-    for (MaxFlowTicket& t : tickets) reference.max_flows.push_back(t.get());
-    reference.multi = mt.get();
+    reference = run(engine, natural, nullptr);
   }
   for (const auto& r : reference.max_flows) ASSERT_TRUE(r.ok()) << r.message;
+  ASSERT_TRUE(reference.route.ok()) << reference.route.message;
   ASSERT_TRUE(reference.multi.ok()) << reference.multi.message;
+  ASSERT_TRUE(reference.congest.ok()) << reference.congest.message;
 
   // Property sweep: shuffled submission order x random priorities x
   // thread counts.
   Rng shuffle_rng(202);
   for (const int threads : {1, 2, 4}) {
     for (int round = 0; round < 3; ++round) {
-      std::vector<std::size_t> perm(queries.size());
-      for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+      std::vector<std::size_t> perm = natural;
       shuffle_rng.shuffle(perm);
-
       FlowEngine engine(g, session_options(threads));
-      std::vector<MaxFlowTicket> tickets(queries.size());
-      const SubmitOptions multi_opts{
-          static_cast<int>(shuffle_rng.next_below(7)) - 3};
-      MultiTerminalTicket mt = engine.submit(multi, multi_opts);
-      for (const std::size_t i : perm) {
-        const SubmitOptions opts{
-            static_cast<int>(shuffle_rng.next_below(7)) - 3};
-        tickets[i] = engine.submit(queries[i], opts);
-      }
-      for (std::size_t i = 0; i < tickets.size(); ++i) {
-        const Result<MaxFlowApproxResult> got = tickets[i].get();
-        ASSERT_TRUE(got.ok()) << got.message;
-        EXPECT_EQ(got.solver, reference.max_flows[i].solver);
-        EXPECT_EQ(got.value().value, reference.max_flows[i].value().value)
+      const QueryResults got = run(engine, perm, &shuffle_rng);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const Result<MaxFlowApproxResult>& want = reference.max_flows[i];
+        ASSERT_TRUE(got.max_flows[i].ok()) << got.max_flows[i].message;
+        EXPECT_EQ(got.max_flows[i].solver, want.solver);
+        EXPECT_EQ(got.max_flows[i].value().value, want.value().value)
             << "threads=" << threads << " round=" << round << " query=" << i;
-        EXPECT_EQ(got.value().flow, reference.max_flows[i].value().flow);
+        EXPECT_EQ(got.max_flows[i].value().flow, want.value().flow);
+        EXPECT_EQ(got.max_flows[i].value().rounds, want.value().rounds);
       }
-      const Result<MultiTerminalMaxFlowResult> got_multi = mt.get();
-      ASSERT_TRUE(got_multi.ok()) << got_multi.message;
-      EXPECT_EQ(got_multi.value().value, reference.multi.value().value);
-      EXPECT_EQ(got_multi.value().flow, reference.multi.value().flow);
+      ASSERT_TRUE(got.route.ok()) << got.route.message;
+      EXPECT_EQ(got.route.value().flow, reference.route.value().flow);
+      EXPECT_EQ(got.route.value().congestion,
+                reference.route.value().congestion);
+      EXPECT_EQ(got.route.value().rounds, reference.route.value().rounds);
+      ASSERT_TRUE(got.multi.ok()) << got.multi.message;
+      EXPECT_EQ(got.multi.value().value, reference.multi.value().value);
+      EXPECT_EQ(got.multi.value().flow, reference.multi.value().flow);
+      ASSERT_TRUE(got.congest.ok()) << got.congest.message;
+      EXPECT_EQ(got.congest.value().flow_value,
+                reference.congest.value().flow_value);
+      EXPECT_EQ(got.congest.value().stats.rounds,
+                reference.congest.value().stats.rounds);
     }
   }
 }

@@ -1,6 +1,5 @@
 #include "baselines/adapters.h"
 
-#include "baselines/dinic.h"
 #include "baselines/push_relabel.h"
 #include "congest/ledger.h"
 #include "graph/algorithms.h"
@@ -8,13 +7,15 @@
 namespace dmf {
 
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
-                                           NodeId s, NodeId t, int bfs_height) {
+                                           const ResidualSlots& slots,
+                                           DinicWorkspace& workspace, NodeId s,
+                                           NodeId t, int bfs_height) {
   DMF_REQUIRE(kind != SolverKind::kSherman && kind != SolverKind::kCongestSim,
               "exact_max_flow_adapter: not an exact baseline");
   MaxFlowResult exact;
   switch (kind) {
     case SolverKind::kDinic:
-      exact = dinic_max_flow(g, s, t);
+      exact = dinic_max_flow(g, slots, s, t, workspace);
       break;
     case SolverKind::kPushRelabel:
       exact = push_relabel_max_flow(g, s, t);
@@ -40,7 +41,8 @@ MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const Graph& g,
                                            NodeId s, NodeId t) {
   const CsrGraph csr(g);
-  return exact_max_flow_adapter(kind, csr, s, t,
+  DinicWorkspace workspace;
+  return exact_max_flow_adapter(kind, csr, ResidualSlots(csr), workspace, s, t,
                                 build_bfs_tree(csr, 0).height);
 }
 

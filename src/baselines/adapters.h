@@ -9,6 +9,7 @@
 // paper's algorithm is measured against.
 #pragma once
 
+#include "baselines/dinic.h"
 #include "engine/registry.h"
 #include "graph/csr_graph.h"
 #include "graph/graph.h"
@@ -19,14 +20,20 @@ namespace dmf {
 // Solve s-t max flow exactly with the requested baseline
 // (SolverKind::kSherman and kCongestSim are rejected — the engine routes
 // those itself).
-// The engine passes the snapshot's CSR view together with `bfs_height`,
-// the height of the BFS tree from node 0 that the snapshot's
-// ShermanHierarchy computed once (ShermanHierarchy::bfs_height()), so an
-// exact query never rebuilds that tree just to price its rounds. The
-// Graph overload packs a transient CSR view and computes the height
-// itself; both report identical results.
+// The engine passes the snapshot's CSR view together with what it keeps
+// per snapshot: the Dinic slot tables (ResidualSlots, built once when
+// the snapshot starts serving) and `bfs_height`, the height of the BFS
+// tree from node 0 that the snapshot's ShermanHierarchy computed once
+// (ShermanHierarchy::bfs_height()). `workspace` is the calling worker's
+// reused Dinic scratch. An exact read thus pays only for its search,
+// never for O(m) set-up or a BFS tree to price its rounds. Push-relabel
+// ignores the tables and the workspace. The Graph overload packs a
+// transient CSR view, builds the tables, a local workspace and the
+// height itself; both report identical results.
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const CsrGraph& g,
-                                           NodeId s, NodeId t, int bfs_height);
+                                           const ResidualSlots& slots,
+                                           DinicWorkspace& workspace, NodeId s,
+                                           NodeId t, int bfs_height);
 MaxFlowApproxResult exact_max_flow_adapter(SolverKind kind, const Graph& g,
                                            NodeId s, NodeId t);
 

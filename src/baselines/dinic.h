@@ -26,12 +26,52 @@ struct MaxFlowResult {
 // The residual state lives on the CSR slots: per slot the edge's
 // capacity and the net flow out along it (the edge's other slot holds the
 // negation). Each phase labels nodes with their residual distance to t,
-// by a BFS from t that stops once s is labelled, then augments from s
-// over arcs one step closer to t with an iterative DFS, so a long s-t
-// path never grows the call stack. Results are bitwise those of textbook
-// forward-levelled Dinic over the same arc order (dinic.cpp gives the
-// argument; tests/reference_dinic.h is the oracle). The Graph overloads
-// pack a transient CSR view first, so both forms return identical flows.
+// by a BFS from t that stops after the row in which s is labelled, then
+// augments from s over arcs one step closer to t with an iterative DFS,
+// so a long s-t path never grows the call stack. Results are bitwise
+// those of textbook forward-levelled Dinic over the same arc order
+// (dinic.cpp gives the argument; tests/reference_dinic.h is the oracle).
+//
+// A run splits into what depends only on the graph (ResidualSlots, O(m)
+// to build) and per-query scratch (DinicWorkspace). The workspace forms
+// take both, so a caller answering many queries on one graph pays only
+// for the search; the fresh forms build the tables and a local workspace
+// and call the workspace form, and the Graph overloads pack a transient
+// CSR view first. All forms return identical results.
+
+// The graph-only residual tables of a CsrGraph, indexed by slot (a
+// global index into its packed neighbor arrays) or by edge. Read-only
+// once built, so one instance serves any number of threads. Capacities
+// are copied, not borrowed: snapshots related by a capacity-only batch
+// share the CSR structure arrays, and tables built from one of them
+// answer for that one only.
+struct ResidualSlots {
+  explicit ResidualSlots(const CsrGraph& g);
+
+  std::vector<std::size_t> reverse;  // 2m: the edge's slot in the other row
+  std::vector<double> capacity;      // 2m: capacity of the slot's edge
+  std::vector<std::size_t> u_slot;   // m: edge e's slot in endpoints(e).u's row
+};
+
+// Per-query scratch of the workspace forms, reused across calls and
+// across graphs (each call resizes it to the graph at hand; it keeps
+// the capacity of the largest graph it has seen).
+struct DinicWorkspace {
+  std::vector<double> flow;       // 2m: net flow out along each slot
+  std::vector<int> dist;          // n: residual distance to t
+  std::vector<std::size_t> iter;  // n: current arc (slot index)
+  std::vector<NodeId> queue;      // n + 1: BFS queue (see dinic.cpp)
+  std::vector<std::size_t> path;  // slots of the current descent
+};
+
+// Workspace forms: `slots` must have been built from `g` (or from a
+// graph with the same CSR layout and capacities).
+MaxFlowResult dinic_max_flow(const CsrGraph& g, const ResidualSlots& slots,
+                             NodeId s, NodeId t, DinicWorkspace& ws);
+double dinic_max_flow_value(const CsrGraph& g, const ResidualSlots& slots,
+                            NodeId s, NodeId t, DinicWorkspace& ws);
+
+// Fresh forms.
 MaxFlowResult dinic_max_flow(const CsrGraph& g, NodeId s, NodeId t);
 MaxFlowResult dinic_max_flow(const Graph& g, NodeId s, NodeId t);
 

@@ -185,14 +185,17 @@ AlphaEstimate estimate_alpha(const Graph& g,
               "estimate_alpha: size mismatch");
   DMF_REQUIRE(g.num_nodes() >= 2, "estimate_alpha: need >= 2 nodes");
   AlphaEstimate est;
-  const CsrGraph csr(g);  // one pack shared by all Dinic probes
+  // One pack, one set of slot tables and one workspace for all probes.
+  const CsrGraph csr(g);
+  const ResidualSlots slots(csr);
+  DinicWorkspace workspace;
   for (int i = 0; i < samples; ++i) {
     const auto s = static_cast<NodeId>(
         rng.next_below(static_cast<std::uint64_t>(g.num_nodes())));
     auto t = static_cast<NodeId>(
         rng.next_below(static_cast<std::uint64_t>(g.num_nodes())));
     if (t == s) t = (t + 1) % g.num_nodes();
-    const double maxflow = dinic_max_flow_value(csr, s, t);
+    const double maxflow = dinic_max_flow_value(csr, slots, s, t, workspace);
     if (maxflow <= 0.0) continue;
     const double opt = 1.0 / maxflow;  // optimal congestion of unit demand
     const double norm =

@@ -57,12 +57,18 @@ struct FlowEngine::Core {
     std::shared_ptr<const ShermanHierarchy> hierarchy;
     ShermanSolver solver;  // default-accuracy solver on the hierarchy
     std::shared_ptr<HierarchyCache> cache;
+    // Dinic's slot tables for exact reads, built in O(m) with the
+    // Serving, off version_mutex. They copy this snapshot's capacities:
+    // a capacity-only batch shares the CSR structure arrays with the
+    // previous version, never these.
+    ResidualSlots slots;
     Serving(GraphSnapshot snap, std::shared_ptr<const ShermanHierarchy> h,
             const ShermanOptions& solver_options, std::size_t cache_capacity)
         : snapshot(std::move(snap)),
           hierarchy(std::move(h)),
           solver(hierarchy, solver_options),
-          cache(std::make_shared<HierarchyCache>(cache_capacity)) {}
+          cache(std::make_shared<HierarchyCache>(cache_capacity)),
+          slots(*snapshot.csr) {}
   };
 
   std::shared_ptr<GraphStore> store;
@@ -479,8 +485,12 @@ struct FlowEngine::Core {
           out.payload = sv.solver.max_flow(q.s, q.t);
         }
       } else {
-        out.payload = exact_max_flow_adapter(entry.kind, *sv.snapshot.csr, q.s,
-                                             q.t, sv.hierarchy->bfs_height());
+        // One Dinic workspace per worker thread, kept at the size of the
+        // largest graph the thread has served (O(n + m)).
+        thread_local DinicWorkspace workspace;
+        out.payload = exact_max_flow_adapter(
+            entry.kind, *sv.snapshot.csr, sv.slots, workspace, q.s, q.t,
+            sv.hierarchy->bfs_height());
       }
     } catch (const std::exception& e) {
       out.code = classify_error(e);

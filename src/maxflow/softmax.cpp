@@ -6,7 +6,18 @@
 
 // One clone per vector ISA, chosen at load time through an ifunc (x86-64
 // ELF only). Only clones without FMA may be listed: see softmax.h.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+// ThreadSanitizer builds get the single default version: the ifunc
+// resolver runs before the TSan runtime is up, and a binary with a
+// cloned function segfaults at start.
+#if defined(__SANITIZE_THREAD__)
+#define DMF_SOFTMAX_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DMF_SOFTMAX_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
+    !defined(DMF_SOFTMAX_TSAN)
 #if __has_attribute(target_clones)
 #define DMF_SOFTMAX_CLONES __attribute__((target_clones("avx2", "default")))
 #endif

@@ -207,6 +207,63 @@ TEST(Dinic, BitwiseParityWithForwardLevelledReference) {
   }
 }
 
+// One workspace serves a sequence of graphs of different sizes (large,
+// small, large): each workspace-form result is bitwise that of the fresh
+// form and of the reference. The complete graphs make a BFS phase label
+// all n nodes and then scan more slots of the same row, so the branch-free
+// store reaches queue[n]; the fresh form's workspace is sized exactly, so
+// ASan builds check the n + 1 sizing.
+TEST(Dinic, WorkspaceReuseAcrossGraphsIsBitwiseFresh) {
+  Rng rng(101);
+  const Graph graphs[] = {make_gnp_connected(90, 0.08, {1, 9}, rng),
+                          make_complete(9, {1, 9}, rng),
+                          make_grid(9, 7, {1, 9}, rng),
+                          make_complete(5, {1, 9}, rng),
+                          make_gnp_connected(90, 0.08, {1, 9}, rng)};
+  DinicWorkspace ws;
+  for (const Graph& g : graphs) {
+    const CsrGraph csr(g);
+    const ResidualSlots slots(csr);
+    const auto n = static_cast<std::uint64_t>(g.num_nodes());
+    for (int pair = 0; pair < 6; ++pair) {
+      const auto s = static_cast<NodeId>(rng.next_below(n));
+      auto t = static_cast<NodeId>(rng.next_below(n - 1));
+      if (t >= s) ++t;
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << n << " s=" << s << " t=" << t);
+      const MaxFlowResult got = dinic_max_flow(csr, slots, s, t, ws);
+      const MaxFlowResult fresh = dinic_max_flow(csr, s, t);
+      const MaxFlowResult want = reference::forward_dinic_max_flow(csr, s, t);
+      ASSERT_EQ(bits(got.value), bits(fresh.value));
+      ASSERT_EQ(bits(got.value), bits(want.value));
+      ASSERT_EQ(got.edge_flow.size(), want.edge_flow.size());
+      for (std::size_t e = 0; e < got.edge_flow.size(); ++e) {
+        ASSERT_EQ(bits(got.edge_flow[e]), bits(fresh.edge_flow[e]))
+            << "edge " << e;
+        ASSERT_EQ(bits(got.edge_flow[e]), bits(want.edge_flow[e]))
+            << "edge " << e;
+      }
+      EXPECT_EQ(bits(dinic_max_flow_value(csr, slots, s, t, ws)),
+                bits(want.value));
+    }
+  }
+}
+
+// Slot tables must belong to the graph they were built from.
+TEST(Dinic, WorkspaceFormRejectsMismatchedSlotTables) {
+  Rng rng(103);
+  const Graph small = make_complete(6, {1, 9}, rng);
+  const Graph large = make_grid(6, 6, {1, 9}, rng);
+  const CsrGraph small_csr(small);
+  const CsrGraph large_csr(large);
+  const ResidualSlots small_slots(small_csr);
+  DinicWorkspace ws;
+  EXPECT_THROW(dinic_max_flow(large_csr, small_slots, 0, 5, ws),
+               RequirementError);
+  EXPECT_THROW(dinic_max_flow_value(small_csr, small_slots, 2, 2, ws),
+               RequirementError);
+}
+
 TEST(PushRelabel, AgreesWithDinicOnRandomGraphs) {
   Rng rng(47);
   for (int trial = 0; trial < 15; ++trial) {

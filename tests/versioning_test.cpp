@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/dinic.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/graph_store.h"
@@ -323,6 +324,45 @@ TEST(FlowEngineVersioning, MultiTerminalCacheNeverMixesGenerations) {
   ASSERT_TRUE(want.ok()) << want.message;
   EXPECT_EQ(after.value().value, want.value().value);
   EXPECT_EQ(after.value().flow, want.value().flow);
+}
+
+// An exact read after a capacity-only batch answers on the new
+// capacities. That batch shares the CSR structure arrays with the
+// previous version, so Dinic's slot tables (capacities included) must
+// belong to the serving snapshot, not to the shared structure. One
+// worker serves both reads, reusing its Dinic workspace across versions.
+TEST(FlowEngineVersioning, ExactReadAfterCapacityBatchUsesNewCapacities) {
+  const Graph g = test_graph();
+  FlowEngine engine(g, version_options(1));
+  const GraphSnapshot before = engine.snapshot();
+  const MaxFlowQuery read{0, 71, 0.0, /*exact=*/true};
+  const double old_value = dinic_max_flow_value(*before.csr, 0, 71);
+
+  const Result<MaxFlowApproxResult> old_read = engine.submit(read).get();
+  ASSERT_TRUE(old_read.ok()) << old_read.message;
+  EXPECT_EQ(old_read.solver, "dinic-exact");
+  EXPECT_EQ(old_read.value().value, old_value);
+
+  // Triple every capacity: every min cut changes, the topology does not.
+  MutationBatch batch;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    batch.set_capacity(e, 3.0 * g.capacity(e));
+  }
+  const ApplyResult applied = engine.apply(batch);
+  EXPECT_EQ(applied.plan, RebuildPlan::kTreeRepair);
+  ASSERT_TRUE(engine.wait_for_version(applied.version, 120.0));
+  const GraphSnapshot after = engine.snapshot();
+  ASSERT_EQ(after.version, applied.version);
+  ASSERT_EQ(after.csr->neighbor_array().data(),
+            before.csr->neighbor_array().data());
+
+  const Result<MaxFlowApproxResult> new_read = engine.submit(read).get();
+  ASSERT_TRUE(new_read.ok()) << new_read.message;
+  EXPECT_EQ(new_read.served_version, applied.version);
+  const double new_value = dinic_max_flow_value(*after.csr, 0, 71);
+  EXPECT_EQ(new_read.value().value, new_value);
+  EXPECT_NE(new_read.value().value, old_value);
+  EXPECT_EQ(new_read.value().flow, dinic_max_flow(*after.csr, 0, 71).edge_flow);
 }
 
 TEST(FlowEngineVersioning, SharedStoreWithRefresh) {

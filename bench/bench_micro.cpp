@@ -1,8 +1,8 @@
 // E13: micro-benchmarks of the core data-structure operations
 // (google-benchmark). These are the per-iteration costs behind the
-// wall-clock of the pipeline: BFS, tree loads, R apply / R^T apply,
-// LSST construction, j-tree and virtual-tree sampling, and the exact
-// baselines.
+// wall-clock of the pipeline: BFS, tree loads, R apply / R^T apply and
+// the link soft-max of an AlmostRoute iteration, LSST construction,
+// j-tree and virtual-tree sampling, and the exact baselines.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +19,7 @@
 #include "graph/tree.h"
 #include "jtree/jtree.h"
 #include "lsst/akpw.h"
+#include "maxflow/softmax.h"
 #include "util/rng.h"
 
 namespace {
@@ -172,6 +173,95 @@ void BM_ApproximatorApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproximatorApply)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The approximator a solver samples for g: ceil(3 log2 n) trees (24 at
+// n = 256, ShermanOptions' default) at the engine's settings.
+CongestionApproximator bench_approximator(const Graph& g) {
+  const int trees = static_cast<int>(
+      std::ceil(3.0 * std::log2(static_cast<double>(g.num_nodes()))));
+  Rng rng(19);
+  return CongestionApproximator::from_samples(
+      sample_virtual_trees(g, trees, engine_hierarchy_options(), rng));
+}
+
+// A zero-sum demand of integers in [-8, 8] \ {0} on every node but the
+// last, which takes the balance.
+std::vector<double> bench_demand(NodeId n) {
+  Rng rng(23);
+  std::vector<double> b(static_cast<std::size_t>(n), 0.0);
+  double sum = 0.0;
+  for (std::size_t v = 0; v + 1 < b.size(); ++v) {
+    const double amount = static_cast<double>(rng.next_below(8) + 1);
+    b[v] = rng.next_below(2) == 0 ? amount : -amount;
+    sum += b[v];
+  }
+  b.back() = -sum;
+  return b;
+}
+
+// AlmostRoute's R application, y = scale R b, into reused buffers: one
+// bottom-up pass per tree.
+void BM_ApproximatorApplyInto(benchmark::State& state) {
+  const Graph g = bench_graph(state.range(0));
+  const CongestionApproximator approx = bench_approximator(g);
+  const std::vector<double> b = bench_demand(g.num_nodes());
+  std::vector<double> y_flat;
+  std::vector<double> workspace;
+  for (auto _ : state) {
+    approx.apply_into(b, 2.0, y_flat, workspace);
+    benchmark::DoNotOptimize(y_flat.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ApproximatorApplyInto)->Arg(256)->Arg(2048);
+
+// AlmostRoute's R^T application, pi = R^T price, into reused buffers: one
+// top-down pass per tree.
+void BM_ApproximatorPotentialsInto(benchmark::State& state) {
+  const Graph g = bench_graph(state.range(0));
+  const CongestionApproximator approx = bench_approximator(g);
+  Rng rng(29);
+  std::vector<double> price(approx.inv_link_cap_flat().size());
+  for (double& p : price) p = rng.next_double(-1.0, 1.0);
+  std::vector<double> pi;
+  std::vector<double> workspace;
+  for (auto _ : state) {
+    approx.potentials_into(price, pi, workspace);
+    benchmark::DoNotOptimize(pi.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ApproximatorPotentialsInto)->Arg(256)->Arg(2048);
+
+// AlmostRoute's link soft-max, smax(2 alpha R r) over the T * n link
+// terms with each tree's root left out, through the library entry point
+// (the widest clone this CPU runs). The terms are scaled to
+// max |y| = 355, AlmostRoute's operating point 16 eps^-1 ln n at
+// eps = 1/4, n = 256, so the one-exp branch runs.
+void BM_LinkSoftmax(benchmark::State& state) {
+  const Graph g = bench_graph(state.range(0));
+  const CongestionApproximator approx = bench_approximator(g);
+  const std::vector<double> b = bench_demand(g.num_nodes());
+  std::vector<double> y_flat;
+  std::vector<double> workspace;
+  approx.apply_into(b, 355.0 / approx.congestion_norm(b), y_flat, workspace);
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<std::size_t> roots;
+  for (int t = 0; t < approx.num_trees(); ++t) {
+    roots.push_back(static_cast<std::size_t>(t) * n +
+                    static_cast<std::size_t>(approx.tree(t).root));
+  }
+  SoftmaxTerms terms;
+  for (auto _ : state) {
+    symmetric_softmax(y_flat, roots, terms);
+    benchmark::DoNotOptimize(terms.sum);
+    benchmark::DoNotOptimize(terms.pos.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(y_flat.size()));
+}
+BENCHMARK(BM_LinkSoftmax)->Arg(256)->Arg(2048);
 
 void BM_DinicExact(benchmark::State& state) {
   const Graph g = bench_graph(state.range(0));

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "baselines/dinic.h"
-#include "graph/flow.h"
 
 namespace dmf {
 
@@ -15,11 +15,15 @@ CongestionApproximator::CongestionApproximator(std::vector<RootedTree> trees)
   const auto nn = static_cast<std::size_t>(n_);
   topdown_.reserve(trees_.size());
   inv_link_cap_.assign(trees_.size() * nn, 0.0);
+  depth_.resize(trees_.size() * nn);
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     const RootedTree& tree = trees_[t];
     DMF_REQUIRE(tree.num_nodes() == n_,
                 "CongestionApproximator: tree size mismatch");
-    topdown_.push_back(tree_order(tree).topdown);
+    TreeOrder order = tree_order(tree);
+    std::copy(order.depth.begin(), order.depth.end(),
+              depth_.begin() + static_cast<std::ptrdiff_t>(t * nn));
+    topdown_.push_back(std::move(order.topdown));
     for (NodeId v = 0; v < n_; ++v) {
       if (v == tree.root) continue;
       const double cap = tree.parent_cap[static_cast<std::size_t>(v)];
@@ -59,6 +63,31 @@ double CongestionApproximator::congestion_norm(
         worst = std::max(worst, std::abs(sums[static_cast<std::size_t>(v)]) *
                                     inv[static_cast<std::size_t>(v)]);
       }
+    }
+  }
+  return worst;
+}
+
+double CongestionApproximator::st_congestion_norm(NodeId s, NodeId t) const {
+  DMF_REQUIRE(s >= 0 && s < n_ && t >= 0 && t < n_ && s != t,
+              "st_congestion_norm: bad terminals");
+  const auto nn = static_cast<std::size_t>(n_);
+  double worst = 0.0;
+  for (std::size_t tr = 0; tr < trees_.size(); ++tr) {
+    const NodeId* parent = trees_[tr].parent.data();
+    const int* depth = depth_.data() + tr * nn;
+    const double* inv = inv_link_cap_.data() + tr * nn;
+    // Climb from the deeper endpoint until the two meet at the LCA; each
+    // step crosses one link that carries the unit demand.
+    NodeId a = s;
+    NodeId b = t;
+    while (a != b) {
+      if (depth[static_cast<std::size_t>(a)] <
+          depth[static_cast<std::size_t>(b)]) {
+        std::swap(a, b);
+      }
+      worst = std::max(worst, inv[static_cast<std::size_t>(a)]);
+      a = parent[static_cast<std::size_t>(a)];
     }
   }
   return worst;
@@ -198,8 +227,7 @@ AlphaEstimate estimate_alpha(const Graph& g,
     const double maxflow = dinic_max_flow_value(csr, slots, s, t, workspace);
     if (maxflow <= 0.0) continue;
     const double opt = 1.0 / maxflow;  // optimal congestion of unit demand
-    const double norm =
-        approximator.congestion_norm(st_demand(g.num_nodes(), s, t, 1.0));
+    const double norm = approximator.st_congestion_norm(s, t);
     if (norm <= 0.0) continue;
     est.alpha = std::max(est.alpha, opt / norm);
     est.lower_violation = std::max(est.lower_violation, norm / opt - 1.0);

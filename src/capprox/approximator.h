@@ -43,6 +43,13 @@ class CongestionApproximator {
   // ||R b||_inf: the most congested tree cut when routing b.
   [[nodiscard]] double congestion_norm(const std::vector<double>& b) const;
 
+  // ||R (e_s - e_t)||_inf without a demand vector: the subtree sums of
+  // e_s - e_t are +1 on the s -> LCA path of a tree, -1 on t -> LCA and 0
+  // elsewhere, so the norm is the largest inverse link capacity on those
+  // paths. Bitwise equal to congestion_norm(st_demand(n, s, t, 1.0)), in
+  // O(path length) per tree and with no allocation.
+  [[nodiscard]] double st_congestion_norm(NodeId s, NodeId t) const;
+
   // y[t][v] = scale * (subtree sum of b at v) / cap(v -> parent); entries
   // at roots are 0.
   [[nodiscard]] std::vector<std::vector<double>> apply(
@@ -80,6 +87,8 @@ class CongestionApproximator {
   std::vector<RootedTree> trees_;
   std::vector<std::vector<NodeId>> topdown_;  // per tree, parents first
   std::vector<double> inv_link_cap_;  // [t*n + v]; see inv_link_cap_flat
+  // [t*n + v]: v's depth in tree t, for st_congestion_norm.
+  std::vector<int> depth_;
 };
 
 // Empirical alpha of the approximator on s-t demands: for unit demand

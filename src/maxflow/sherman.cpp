@@ -399,8 +399,7 @@ MaxFlowApproxResult ShermanSolver::max_flow_binary_search(NodeId s,
   // Initial bracket from the congestion approximator: for the unit s-t
   // demand, opt congestion is in [||Rb||, alpha ||Rb||], so the max flow
   // lies in [1/(alpha ||Rb||), 1/||Rb||].
-  const std::vector<double> unit = st_demand(g.num_nodes(), s, t, 1.0);
-  const double norm = hierarchy_->approximator().congestion_norm(unit);
+  const double norm = hierarchy_->approximator().st_congestion_norm(s, t);
   DMF_REQUIRE(norm > 0.0, "max_flow_binary_search: degenerate demand");
   const double alpha = hierarchy_->alpha();
   double lo = 1.0 / (alpha * norm);

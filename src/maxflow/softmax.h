@@ -32,17 +32,19 @@
 //    four and the tail entries in order, combined as
 //    (l0 + l1) + (l2 + l3).
 //
-// symmetric_softmax is compiled twice on x86-64 (target_clones "avx2"
-// and "default", picked at load time); the avx2 clone also vectorizes
-// the max loop and runs the kernel at 32 bytes. Both clones perform the
-// same IEEE operations in the same order, so their results are bitwise
-// equal. That rules out an "fma", "avx512f" or "arch=" clone: with GCC's
-// default -ffp-contract=fast, a target with FMA contracts a * b + c into
-// one rounding and changes bits. The ISA-parity test in maxflow_test
-// fails on a CPU that would dispatch to such a clone. c and the two-exp
-// branch still call libm, whose exp may select a different
-// implementation per CPU, so this does not make results equal across
-// machines.
+// symmetric_softmax is cloned for avx512f, avx2 and baseline x86-64
+// (DMF_VECTOR_CLONES; util/vector_clones.h owns the clone list and the
+// contraction rule). The wider clones also vectorize the max loop
+// (AVX-512F has an unsigned 64-bit max) and run the exp kernel 4 or 8
+// lanes wide. Every clone performs the same IEEE operations in the same
+// order, so their results are bitwise equal: contraction is off in the
+// kernels below and in softmax.cpp, so a clone whose ISA has FMA cannot
+// fuse a * b + c into one rounding where the others round twice; and
+// the four-lane sum is written out, not left to the vectorizer.
+// maxflow_test compares softmax_terms compiled for every cloned target
+// bit for bit. c and the two-exp branch still call libm, whose exp may
+// select a different implementation per CPU, so this does not make
+// results equal across machines.
 #pragma once
 
 #include <array>
@@ -52,11 +54,7 @@
 #include <cstring>
 #include <vector>
 
-#if defined(__GNUC__)
-#define DMF_SOFTMAX_INLINE inline __attribute__((always_inline))
-#else
-#define DMF_SOFTMAX_INLINE inline
-#endif
+#include "util/vector_clones.h"
 
 namespace dmf {
 
@@ -115,7 +113,8 @@ constexpr std::array<double, 14> inverse_factorials() {
 // degree-13 Taylor polynomial (truncation < 2^-57 on |r| <= ln2 / 2),
 // split into even and odd halves in r^2 for two short dependency chains.
 // 2^k is applied by adding k << 52 to the bits of e^r.
-DMF_SOFTMAX_INLINE double exp_kernel(double x) {
+DMF_KERNEL_INLINE double exp_kernel(double x) {
+  DMF_KERNEL_FP_CONTRACT_OFF
   constexpr double kShifter = 0x1.8p52;
   constexpr double kInvLn2 = 0x1.71547652b82fep0;
   constexpr double kLn2Hi = 0x1.62e42feep-1;
@@ -141,12 +140,13 @@ DMF_SOFTMAX_INLINE double exp_kernel(double x) {
 // The body of symmetric_softmax on raw arrays, with `excluded` already
 // validated: writes count entries of pos and neg, and M and the sum.
 // Always inlined, so each caller compiles it for its own target ISA; the
-// ISA-parity test compares a default and an avx2 caller bit for bit.
-DMF_SOFTMAX_INLINE void softmax_terms(const double* x, std::size_t count,
+// ISA-parity test compares default, avx2 and avx512f callers bit for bit.
+DMF_KERNEL_INLINE void softmax_terms(const double* x, std::size_t count,
                                       const std::size_t* excluded,
                                       std::size_t num_excluded, double* pos,
                                       double* neg, double& max_abs,
                                       double& sum) {
+  DMF_KERNEL_FP_CONTRACT_OFF
   constexpr std::uint64_t kAbsMask = ~(std::uint64_t{1} << 63);
   // Included runs are [begin, end) between consecutive exclusions.
   std::uint64_t max_bits = 0;

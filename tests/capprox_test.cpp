@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "baselines/dinic.h"
 #include "capprox/approximator.h"
@@ -144,6 +145,36 @@ TEST(Approximator, ApplyMatchesCongestionNorm) {
     for (const double v : per_tree) max_abs = std::max(max_abs, std::abs(v));
   }
   EXPECT_NEAR(max_abs, approx.congestion_norm(b), 1e-9);
+}
+
+// The root-path form must give the same bits as routing the s-t demand
+// through every tree, on every ordered pair.
+TEST(Approximator, StCongestionNormBitwiseEqualsCongestionNorm) {
+  Rng rng(563);
+  const std::vector<Graph> graphs = {
+      make_gnp_connected(32, 0.12, {1, 9}, rng),
+      make_grid(6, 5, {1, 7}, rng),
+      make_barbell(7, {2, 6}, 1.5, rng),
+  };
+  for (const Graph& g : graphs) {
+    const CongestionApproximator approx = CongestionApproximator::from_samples(
+        sample_virtual_trees(g, 5, HierarchyOptions{}, rng));
+    const NodeId n = g.num_nodes();
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        if (s == t) continue;
+        const double want = approx.congestion_norm(st_demand(n, s, t, 1.0));
+        const double got = approx.st_congestion_norm(s, t);
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+            << "n=" << n << " s=" << s << " t=" << t << ": " << want
+            << " vs " << got;
+      }
+    }
+  }
+  const CongestionApproximator approx = CongestionApproximator::from_samples(
+      sample_virtual_trees(graphs[0], 2, HierarchyOptions{}, rng));
+  EXPECT_THROW((void)approx.st_congestion_norm(3, 3), RequirementError);
+  EXPECT_THROW((void)approx.st_congestion_norm(0, 32), RequirementError);
 }
 
 TEST(Approximator, ApplyScales) {

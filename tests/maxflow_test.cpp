@@ -17,6 +17,10 @@
 #include "maxflow/sherman.h"
 #include "maxflow/softmax.h"
 #include "util/rng.h"
+#include "util/vector_clones.h"
+
+// As in the library's cloned files: see the ISA wrappers below.
+DMF_FP_CONTRACT_OFF
 
 namespace dmf {
 namespace {
@@ -188,33 +192,67 @@ TEST(SymmetricSoftmax, ExpKernelWithinTwoEpsilonOnItsRange) {
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define DMF_TEST_HAVE_AVX2_WRAPPER 1
+#define DMF_TEST_HAVE_ISA_WRAPPERS 1
 
-struct RawSoftmax {
+// The ISAs the library clones its kernels for (util/vector_clones.h).
+enum class Isa { kDefault, kAvx2, kAvx512f };
+
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::kAvx2: return "avx2";
+    case Isa::kAvx512f: return "avx512f";
+    default: return "default";
+  }
+}
+
+bool cpu_supports(Isa isa) {
+  switch (isa) {
+    case Isa::kAvx2: return __builtin_cpu_supports("avx2") != 0;
+    case Isa::kAvx512f: return __builtin_cpu_supports("avx512f") != 0;
+    default: return true;
+  }
+}
+
+// Runs `body` compiled for one target ISA, the way the library's clones
+// compile the same always-inline kernel, so the comparison runs on any
+// x86-64 build. `body` is an always_inline lambda: it and the kernels in
+// it are inlined into, and vectorized for, the target function. This
+// file turns contraction off (top of file) as the cloned library files
+// do.
+template <class Body>
+void run_default(const Body& body) { body(); }
+template <class Body>
+__attribute__((target("avx2"))) void run_avx2(const Body& body) { body(); }
+template <class Body>
+__attribute__((target("avx512f"))) void run_avx512f(const Body& body) {
+  body();
+}
+template <class Body>
+void run_for(Isa isa, const Body& body) {
+  switch (isa) {
+    case Isa::kAvx2: run_avx2(body); break;
+    case Isa::kAvx512f: run_avx512f(body); break;
+    default: run_default(body); break;
+  }
+}
+
+struct SoftmaxCase {
+  std::vector<double> x;
+  std::vector<std::size_t> excluded;
   std::vector<double> pos;
   std::vector<double> neg;
   double max_abs = -1.0;
   double sum = -1.0;
 };
 
-void raw_softmax(const std::vector<double>& x,
-                 const std::vector<std::size_t>& excluded, RawSoftmax& out) {
-  out.pos.assign(x.size(), -1.0);
-  out.neg.assign(x.size(), -1.0);
-  detail::softmax_terms(x.data(), x.size(), excluded.data(), excluded.size(),
-                        out.pos.data(), out.neg.data(), out.max_abs, out.sum);
-}
-
-// The same inlined body compiled for AVX2: symmetric_softmax's avx2
-// clone, reproduced in this test so the comparison runs on any x86-64
-// build.
-__attribute__((target("avx2"))) void raw_softmax_avx2(
-    const std::vector<double>& x, const std::vector<std::size_t>& excluded,
-    RawSoftmax& out) {
-  out.pos.assign(x.size(), -1.0);
-  out.neg.assign(x.size(), -1.0);
-  detail::softmax_terms(x.data(), x.size(), excluded.data(), excluded.size(),
-                        out.pos.data(), out.neg.data(), out.max_abs, out.sum);
+void run_softmax_terms(Isa isa, SoftmaxCase& c) {
+  c.pos.assign(c.x.size(), -1.0);
+  c.neg.assign(c.x.size(), -1.0);
+  run_for(isa, [&c]() __attribute__((always_inline)) {
+    detail::softmax_terms(c.x.data(), c.x.size(), c.excluded.data(),
+                          c.excluded.size(), c.pos.data(), c.neg.data(),
+                          c.max_abs, c.sum);
+  });
 }
 
 void expect_bitwise_equal(const std::vector<double>& a,
@@ -225,46 +263,67 @@ void expect_bitwise_equal(const std::vector<double>& a,
         << "entry " << i << ": " << a[i] << " vs " << b[i];
   }
 }
+
+void expect_bitwise_equal(double a, double b) {
+  EXPECT_EQ(detail::double_bits(a), detail::double_bits(b))
+      << a << " vs " << b;
+}
+
+// The first cloned ISA this CPU cannot run, or nullptr: a test compares
+// the ISAs the CPU has, then skips naming the one it could not.
+const char* missing_isa() {
+  for (const Isa isa : {Isa::kAvx2, Isa::kAvx512f}) {
+    if (!cpu_supports(isa)) return isa_name(isa);
+  }
+  return nullptr;
+}
 #endif
 
-// The soft-max body must give the same bits when compiled for AVX2 as for
-// baseline x86-64: this fails if a clone that contracts into FMA (fma,
-// avx512f, arch=) is ever added.
+// The soft-max body must give the same bits compiled for AVX2 and for
+// AVX-512F as for baseline x86-64, with contraction off as in the
+// library's cloned file: it fails if a clone ever fuses a * b + c into
+// one FMA rounding or sums in another order. Skipped only on a CPU
+// without AVX2 or AVX-512F, after comparing the ISAs it has.
 // 1500 covers the two-exp branch past the shared-scale limit.
 TEST(SymmetricSoftmax, BitwiseEqualAcrossVectorIsas) {
-#ifdef DMF_TEST_HAVE_AVX2_WRAPPER
-  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "no AVX2 on this CPU";
+#ifdef DMF_TEST_HAVE_ISA_WRAPPERS
   for (const double max_abs : {37.5, 355.0, 700.0, 1500.0}) {
     SCOPED_TRACE(max_abs);
     Rng rng(static_cast<std::uint64_t>(max_abs * 2.0) + 11);
-    std::vector<double> x(10007);  // not a multiple of 4: a lane tail
-    std::vector<std::size_t> excluded;
-    for (std::size_t i = 0; i < x.size(); ++i) {
+    SoftmaxCase input;
+    input.x.resize(10007);  // not a multiple of 4 or 8: a lane tail
+    for (std::size_t i = 0; i < input.x.size(); ++i) {
       if (i % 97 == 5) {
-        x[i] = 3.0 * max_abs;  // would change M if included
-        excluded.push_back(i);
+        input.x[i] = 3.0 * max_abs;  // would change M if included
+        input.excluded.push_back(i);
       } else {
-        x[i] = rng.next_double(-max_abs, max_abs);
+        input.x[i] = rng.next_double(-max_abs, max_abs);
       }
     }
-    x[1] = -max_abs;
-    RawSoftmax plain;
-    RawSoftmax avx2;
-    raw_softmax(x, excluded, plain);
-    raw_softmax_avx2(x, excluded, avx2);
+    input.x[1] = -max_abs;
+    SoftmaxCase plain = input;
+    run_softmax_terms(Isa::kDefault, plain);
     EXPECT_EQ(plain.max_abs, max_abs);
-    EXPECT_EQ(detail::double_bits(plain.max_abs),
-              detail::double_bits(avx2.max_abs));
-    EXPECT_EQ(detail::double_bits(plain.sum), detail::double_bits(avx2.sum));
-    expect_bitwise_equal(plain.pos, avx2.pos);
-    expect_bitwise_equal(plain.neg, avx2.neg);
+    for (const Isa isa : {Isa::kAvx2, Isa::kAvx512f}) {
+      if (!cpu_supports(isa)) continue;
+      SCOPED_TRACE(isa_name(isa));
+      SoftmaxCase wide = input;
+      run_softmax_terms(isa, wide);
+      expect_bitwise_equal(plain.max_abs, wide.max_abs);
+      expect_bitwise_equal(plain.sum, wide.sum);
+      expect_bitwise_equal(plain.pos, wide.pos);
+      expect_bitwise_equal(plain.neg, wide.neg);
+    }
 
     // The library entry point, whichever clone this CPU dispatches to.
     SoftmaxTerms terms;
-    symmetric_softmax(x, excluded, terms);
-    EXPECT_EQ(detail::double_bits(plain.sum), detail::double_bits(terms.sum));
+    symmetric_softmax(input.x, input.excluded, terms);
+    expect_bitwise_equal(plain.sum, terms.sum);
     expect_bitwise_equal(plain.pos, terms.pos);
     expect_bitwise_equal(plain.neg, terms.neg);
+  }
+  if (const char* isa = missing_isa()) {
+    GTEST_SKIP() << "no " << isa << " on this CPU: its clone was not compared";
   }
 #else
   GTEST_SKIP() << "target(\"avx2\") needs GCC or Clang on x86-64";
